@@ -8,8 +8,8 @@
 //   * a fleet-wide budget of queued sealed-input *bytes*, wired to the
 //     modeled device ingest bandwidth (the MicroBlaze import path moves
 //     ~3.2 GB/s per device; see accel::MicrocontrollerModel::import_gbs):
-//     the budget is the number of bytes the fleet can ingest within
-//     `backpressure_window_ms`. Crossing it is *backpressure* — a soft,
+//     the budget is the number of bytes the fleet can ingest within a
+//     fixed 5 ms window. Crossing it is *backpressure* — a soft,
 //     retryable signal distinct from the hard per-tenant reject, telling
 //     clients the fleet (not their own queue) is saturated. The budget is
 //     *live*: the health monitor rescales it to the surviving device count

@@ -7,6 +7,18 @@
 
 namespace guardnn::serving {
 
+/// Max requests a worker drains from one tenant per wakeup.
+constexpr std::size_t kMaxBatch = 8;
+/// Window the derived byte budget covers: the fleet admits at most the bytes
+/// it can ingest within this many modeled milliseconds.
+constexpr double kBackpressureWindowMs = 5.0;
+/// Sealed models a freshly promoted spare is pre-warmed with, via the
+/// attested re-wrap: displaced (failover-pending) tenants' replicas first,
+/// then store popularity order (ModelStore::hot_contents).
+constexpr std::size_t kSparePrewarmModels = 4;
+/// Health/failover event log capacity (newest entries kept).
+constexpr std::size_t kEventLogCapacity = 1024;
+
 const char* outcome_name(RequestOutcome outcome) {
   switch (outcome) {
     case RequestOutcome::kOk: return "ok";
@@ -38,23 +50,33 @@ std::size_t InferenceServer::derived_shard_count(const ServerConfig& config) {
   return std::max<std::size_t>(16, 4 * workers);
 }
 
-std::size_t InferenceServer::derived_byte_budget(const ServerConfig& config) {
-  if (config.max_pending_bytes) return config.max_pending_bytes;
+std::size_t InferenceServer::byte_budget(const ServerConfig& config,
+                                         std::size_t routable_devices) {
+  // The denominator is the *primary* fleet, not the device count: an
+  // unpromoted spare contributes no ingest bandwidth, so a full-strength
+  // fleet with spares standing by keeps its full budget, and a promoted
+  // spare restores budget a quarantine took away (capped at the configured
+  // full-strength value).
+  const std::size_t primary = std::max<std::size_t>(1, config.num_devices);
+  if (config.max_pending_bytes)
+    return std::min(config.max_pending_bytes,
+                    config.max_pending_bytes * routable_devices / primary);
   // Wire the fleet budget to the modeled device ingest bandwidth: queued
   // sealed inputs are exactly what the MicroBlaze import path must move.
   const accel::MicrocontrollerModel model;
   return AdmissionController::derive_byte_budget(
-      std::max<std::size_t>(1, config.num_devices), model.import_gbs,
-      config.backpressure_window_ms);
+      routable_devices, model.import_gbs, kBackpressureWindowMs);
 }
 
 InferenceServer::InferenceServer(const crypto::ManufacturerCa& ca,
                                  const ServerConfig& config, BytesView entropy)
     : config_(config),
       table_(derived_shard_count(config)),
-      admission_(config.max_pending_per_tenant, derived_byte_budget(config)),
+      admission_(
+          config.max_pending_per_tenant,
+          byte_budget(config, std::max<std::size_t>(1, config.num_devices))),
       trace_(std::max<std::size_t>(1, config.trace_capacity)),
-      events_(std::max<std::size_t>(1, config.event_log_capacity)),
+      events_(kEventLogCapacity),
       ins_(make_instruments(metrics_)),
       faults_(std::max<std::size_t>(1, config.num_devices) +
               config.num_spare_devices),
@@ -122,13 +144,13 @@ InferenceServer::~InferenceServer() {
 
   // Fail whatever the workers never picked up. Disconnected tenants are no
   // longer in the shard maps but may still sit in ready queues with queued
-  // requests; resolve_all clears the deque, so a tenant reachable both ways
-  // is drained once.
+  // requests; drain clears the deque, so a tenant reachable both ways is
+  // drained once.
   table_.for_each_shard_locked([this](Shard& shard) {
     for (auto& [id, tenant] : shard.tenants)
-      resolve_all(tenant->pending, RequestOutcome::kShutdown);
+      drain(tenant->pending, RequestOutcome::kShutdown);
     for (auto& tenant : shard.ready)
-      resolve_all(tenant->pending, RequestOutcome::kShutdown);
+      drain(tenant->pending, RequestOutcome::kShutdown);
   });
 }
 
@@ -170,8 +192,13 @@ void InferenceServer::resolve_one(Request& request, InferenceResult result) {
   request.promise.set_value(std::move(result));
 }
 
-void InferenceServer::resolve_all(std::deque<Request>& requests,
-                                  RequestOutcome outcome) {
+void InferenceServer::drain(std::deque<Request>& requests,
+                            RequestOutcome outcome) {
+  if (requests.empty()) return;
+  std::size_t bytes = 0;
+  for (const Request& request : requests) bytes += request.charged_bytes;
+  admission_.release(requests.size(), bytes);
+  if (outcome == RequestOutcome::kTimeout) ins_.timeouts.inc(requests.size());
   for (Request& request : requests) {
     InferenceResult result;
     result.outcome = outcome;
@@ -188,59 +215,75 @@ accel::GetPkResponse InferenceServer::get_pk(std::size_t device_index) {
   return node.device.get_pk();
 }
 
+template <typename Command>
+accel::DeviceStatus InferenceServer::device_call(std::size_t device_index,
+                                                 Command&& command) {
+  DeviceNode& node = *devices_[device_index];
+  std::lock_guard<std::mutex> busy(node.busy);
+  const accel::DeviceStatus gate = fault_gate(device_index);
+  if (gate != accel::DeviceStatus::kOk) return gate;
+  return command(node.device);
+}
+
+accel::InitSessionResponse InferenceServer::open_session(
+    std::size_t device_index, const crypto::AffinePoint& user_ephemeral,
+    bool integrity,
+    const std::function<accel::DeviceStatus(accel::SessionId)>& admit) {
+  // The eviction retry loops because a concurrent connect may steal a freed
+  // slot; each iteration evicts another idle tenant, so it is bounded by the
+  // table size and stops when no victim remains.
+  while (true) {
+    accel::InitSessionResponse response;
+    const accel::DeviceStatus status =
+        device_call(device_index, [&](accel::GuardNnDevice& device) {
+          response = device.init_session(user_ephemeral, integrity);
+          if (response.status != accel::DeviceStatus::kOk)
+            return response.status;
+          const accel::DeviceStatus admitted = admit(response.session_id);
+          if (admitted != accel::DeviceStatus::kOk) {
+            device.close_session(response.session_id);
+            response = accel::InitSessionResponse{};
+          }
+          return admitted;
+        });
+    response.status = status;
+    if (status != accel::DeviceStatus::kNoResources ||
+        !config_.evict_idle_sessions || !evict_idle_tenant(device_index))
+      return response;
+  }
+}
+
 InferenceServer::ConnectResult InferenceServer::connect(
     const crypto::AffinePoint& user_ephemeral, bool integrity) {
   ConnectResult result;
   // Least-loaded placement across the *routable* fleet (atomic counters —
-  // no lock). Quarantined and dead devices never receive new tenants.
-  // InitSession and tenant registration happen under one hold of the
-  // device's busy lock, so reset_device (which purges tenants and wipes the
-  // session table under the same lock) can never interleave between "session
-  // created" and "tenant recorded" and leave a live tenant entry pointing at
-  // a zeroized session. The eviction retry loops because a concurrent
-  // connect may steal a freed slot; each iteration evicts another idle
-  // tenant, so it is bounded by the table size and stops when no victim
-  // remains (ROADMAP "session eviction policy"). A device that dies under
-  // us (fault gate answers kUnavailable and it is no longer routable)
-  // re-picks a surviving device instead of failing the connect.
+  // no lock). Quarantined and dead devices never receive new tenants. A
+  // device that dies under us (the gate answers kUnavailable and it is no
+  // longer routable) re-picks a surviving device instead of failing the
+  // connect.
   while (true) {
     const std::size_t best = pick_routable_device();
     if (best == devices_.size()) {
       result.response.status = accel::DeviceStatus::kUnavailable;
       return result;
     }
-    DeviceNode& node = *devices_[best];
     result.device_index = best;
-    {
-      std::lock_guard<std::mutex> busy(node.busy);
-      const accel::DeviceStatus gate = fault_gate(best);
-      if (gate != accel::DeviceStatus::kOk) {
-        result.response.status = gate;
-        if (gate == accel::DeviceStatus::kUnavailable && !routable(best))
-          continue;  // died under us — try a surviving device
-        return result;
-      }
-      result.response = node.device.init_session(user_ephemeral, integrity);
-      if (result.response.status == accel::DeviceStatus::kOk) {
-        const TenantId id = next_tenant_.fetch_add(1, std::memory_order_relaxed);
-        auto tenant = std::make_shared<Tenant>(id, node.device, best,
-                                               result.response.session_id);
-        // Resolve the labeled per-tenant counter once, on the control plane,
-        // so the worker hot path is one relaxed increment.
-        tenant->requests_counter = &metrics_.counter(
-            "serving_tenant_requests_total", {{"tenant", std::to_string(id)}});
-        Shard& shard = table_.shard_for(id);
-        {
-          std::lock_guard<std::mutex> lock(shard.mu);
-          shard.tenants.emplace(id, std::move(tenant));
-        }
-        node.tenant_count.fetch_add(1, std::memory_order_relaxed);
-        result.tenant = id;
-        return result;
-      }
-    }
-    if (result.response.status != accel::DeviceStatus::kNoResources ||
-        !config_.evict_idle_sessions || !evict_idle_tenant(best))
+    result.response = open_session(
+        best, user_ephemeral, integrity, [&](accel::SessionId session) {
+          const TenantId id =
+              next_tenant_.fetch_add(1, std::memory_order_relaxed);
+          auto entry = make_tenant(id, best, session);
+          Shard& shard = table_.shard_for(id);
+          {
+            std::lock_guard<std::mutex> lock(shard.mu);
+            shard.tenants.emplace(id, std::move(entry));
+          }
+          devices_[best]->tenant_count.fetch_add(1, std::memory_order_relaxed);
+          result.tenant = id;
+          return accel::DeviceStatus::kOk;
+        });
+    if (result.response.status != accel::DeviceStatus::kUnavailable ||
+        routable(best))
       return result;
   }
 }
@@ -264,77 +307,46 @@ InferenceServer::ConnectResult InferenceServer::reconnect(
   // fall back to least-loaded routable placement when it has since gone
   // down too.
   const std::size_t target =
-      record.has_target && record.preferred_device < devices_.size() &&
-              routable(record.preferred_device)
-          ? record.preferred_device
+      record.preferred_device && routable(*record.preferred_device)
+          ? *record.preferred_device
           : pick_routable_device();
   if (target == devices_.size()) {
     result.response.status = accel::DeviceStatus::kUnavailable;
     return result;
   }
-  DeviceNode& node = *devices_[target];
   result.device_index = target;
-  // Same registration discipline as connect(): InitSession + tenant
-  // registration under one busy hold, with the bounded idle-eviction retry.
-  while (true) {
-    {
-      std::lock_guard<std::mutex> busy(node.busy);
-      const accel::DeviceStatus gate = fault_gate(target);
-      if (gate != accel::DeviceStatus::kOk) {
-        result.response.status = gate;
-        return result;  // retryable: call reconnect() again
-      }
-      result.response = node.device.init_session(user_ephemeral, integrity);
-      if (result.response.status == accel::DeviceStatus::kOk) {
-        auto entry = std::make_shared<Tenant>(tenant, node.device, target,
-                                              result.response.session_id);
-        entry->requests_counter =
-            &metrics_.counter("serving_tenant_requests_total",
-                              {{"tenant", std::to_string(tenant)}});
-        entry->has_model_hash = record.has_model;
+  // Same registration discipline as connect(). A gate refusal is
+  // retryable: call reconnect() again.
+  result.response = open_session(
+      target, user_ephemeral, integrity, [&](accel::SessionId session) {
+        auto entry = make_tenant(tenant, target, session);
         entry->model_hash = record.model_hash;
-        if (record.has_content) entry->model_content = record.content;
+        entry->model_content = record.content;
         Shard& shard = table_.shard_for(tenant);
-        bool inserted;
         {
           std::lock_guard<std::mutex> lock(shard.mu);
-          inserted = shard.tenants.emplace(tenant, entry).second;
-        }
-        if (!inserted) {
-          // A concurrent reconnect for the same id won the race; give its
+          // A concurrent reconnect for the same id won the race: give this
           // session back and report the id as already live.
-          node.device.close_session(result.response.session_id);
-          result.response = accel::InitSessionResponse{};
-          result.response.status = accel::DeviceStatus::kNoSession;
-          return result;
+          if (!shard.tenants.emplace(tenant, std::move(entry)).second)
+            return accel::DeviceStatus::kNoSession;
         }
-        node.tenant_count.fetch_add(1, std::memory_order_relaxed);
-        result.tenant = tenant;
-      }
-    }
-    if (result.tenant) break;
-    if (result.response.status != accel::DeviceStatus::kNoResources ||
-        !config_.evict_idle_sessions || !evict_idle_tenant(target))
-      return result;
-  }
+        devices_[target]->tenant_count.fetch_add(1, std::memory_order_relaxed);
+        return accel::DeviceStatus::kOk;
+      });
+  if (result.response.status != accel::DeviceStatus::kOk) return result;
+  result.tenant = tenant;
   // Server-side model restore: when the tenant had a sealed replica, load it
   // into the fresh session (auto-replicating to `target` if the failover's
   // pre-provisioning didn't finish). Weights never cross the user link.
-  if (record.has_content && record.has_model) {
-    std::shared_ptr<const host::FuncNetwork> net;
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      auto it = net_cache_.find(record.model_hash);
-      if (it != net_cache_.end()) net = it->second;
-    }
-    if (net) {
+  if (record.content && record.model_hash) {
+    if (const auto net = cached_net(*record.model_hash)) {
       ModelHandle handle;
-      handle.hash = record.model_hash;
+      handle.hash = *record.model_hash;
       handle.net = net;
-      handle.generation = node.device.device_generation();
+      handle.generation = devices_[target]->device.device_generation();
       handle.plan = plan_for(handle.hash, *net, handle.generation);
       result.model_restored =
-          load_model_from_store(tenant, record.content, handle) ==
+          load_model_from_store(tenant, *record.content, handle) ==
           accel::DeviceStatus::kOk;
     }
   }
@@ -393,15 +405,16 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   DeviceNode& target = *devices_[target_device];
   accel::SessionId target_session = accel::kInvalidSession;
 
-  // Every failure path after the mark funnels through here. If the source is
-  // still alive the migration aborts cleanly: the tenant un-drains and
-  // resumes on the source with nothing lost. If the source died under us the
-  // crash machinery already tore the tenant down (fail_over_tenant /
-  // disconnect flipped `open`); we are its owner, so we drain whatever it
-  // could not and the move degrades to the PR 7 failover story.
+  // Every failure path after the mark funnels through here. If the tenant is
+  // still open the migration aborts cleanly: the tenant un-drains and
+  // resumes on the source with nothing lost. Otherwise fail_over_tenant,
+  // disconnect or reset_device flipped `open` under us; we are its owner, so
+  // we drain whatever it could not. Only a failover (the source died or its
+  // session was wounded) degrades the move to the crash-failover story; a
+  // disconnect or reset is an ordinary abort.
   const auto abort_migration =
       [&](accel::DeviceStatus status) -> ConnectResult {
-    bool degraded = false;
+    bool closed = false;
     bool wake = false;
     std::deque<Request> orphaned;
     RequestOutcome orphan_outcome = RequestOutcome::kNoTenant;
@@ -416,27 +429,18 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
           wake = true;
         }
       } else {
-        degraded = true;
+        closed = true;
         orphan_outcome = entry->teardown_outcome;
         orphaned.swap(entry->pending);
         entry->scheduled = false;
       }
     }
     if (wake) work_sem_.release();
-    if (!orphaned.empty()) {
-      std::size_t orphaned_bytes = 0;
-      for (const Request& request : orphaned)
-        orphaned_bytes += request.charged_bytes;
-      admission_.release(orphaned.size(), orphaned_bytes);
-      resolve_all(orphaned, orphan_outcome);
-    }
-    // Give the half-built target session back (keys zeroized); a dead target
-    // took its session table down with it.
-    if (target_session != accel::kInvalidSession &&
-        !faults_.dead(target_device)) {
-      std::lock_guard<std::mutex> busy(target.busy);
-      target.device.close_session(target_session);
-    }
+    drain(orphaned, orphan_outcome);
+    // Give the half-built target session back (keys zeroized).
+    if (target_session != accel::kInvalidSession)
+      close_session(target_device, target_session);
+    const bool degraded = orphan_outcome == RequestOutcome::kDeviceFailover;
     if (degraded)
       ins_.migrations_failover.inc();
     else
@@ -449,8 +453,9 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
                        (degraded ? " degraded to failover" : " aborted"));
     ConnectResult aborted;
     aborted.device_index = target_device;
-    aborted.response.status =
-        degraded ? accel::DeviceStatus::kUnavailable : status;
+    aborted.response.status = degraded ? accel::DeviceStatus::kUnavailable
+                              : closed ? accel::DeviceStatus::kNoSession
+                                       : status;
     return aborted;
   };
 
@@ -484,23 +489,17 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   // model-less tenant (plan == nullptr — its FIFO is necessarily empty,
   // submits answer kNoModel) migrates as a pure session move.
   std::shared_ptr<const host::ExecutionPlan> source_plan;
-  bool has_model = false;
-  crypto::Sha256Digest hash{};
+  std::optional<crypto::Sha256Digest> hash;
   std::optional<store::ContentId> content;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     source_plan = entry->plan;
-    has_model = entry->has_model_hash;
     hash = entry->model_hash;
     content = entry->model_content;
   }
   std::shared_ptr<const host::FuncNetwork> net;
-  if (source_plan && has_model) {
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      auto it = net_cache_.find(hash);
-      if (it != net_cache_.end()) net = it->second;
-    }
+  if (source_plan && hash) {
+    net = cached_net(*hash);
     if (!net) return abort_migration(accel::DeviceStatus::kBadOperand);
     if (!content) {
       store::ContentId sealed{};
@@ -519,57 +518,30 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   }
 
   // Phase 4 — fresh session on the target with the user's *new* ECDHE share
-  // (a session cannot move between devices; its keys live in SRAM). Same
-  // bounded idle-eviction retry as connect().
+  // (a session cannot move between devices; its keys live in SRAM).
   u64 target_generation = 0;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> busy(target.busy);
-      const accel::DeviceStatus gate = fault_gate(target_device);
-      if (gate != accel::DeviceStatus::kOk) return abort_migration(gate);
-      result.response = target.device.init_session(user_ephemeral, integrity);
-      if (result.response.status == accel::DeviceStatus::kOk) {
-        target_session = result.response.session_id;
+  result.response = open_session(
+      target_device, user_ephemeral, integrity, [&](accel::SessionId session) {
+        target_session = session;
         target_generation = target.device.device_generation();
-      }
-    }
-    if (result.response.status == accel::DeviceStatus::kOk) break;
-    if (result.response.status != accel::DeviceStatus::kNoResources ||
-        !config_.evict_idle_sessions || !evict_idle_tenant(target_device))
-      return abort_migration(result.response.status);
-  }
+        return accel::DeviceStatus::kOk;
+      });
+  if (result.response.status != accel::DeviceStatus::kOk)
+    return abort_migration(result.response.status);
   trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                 static_cast<u32>(target_device), 3);
 
   // Phase 5 — build the target-bound tenant off to the side. HostScheduler
   // binds a device reference at construction, so the flip replaces the table
   // entry wholesale instead of mutating the source-bound one.
-  auto fresh = std::make_shared<Tenant>(tenant, target.device, target_device,
-                                        target_session);
-  fresh->requests_counter = entry->requests_counter;
-  if (source_plan && has_model && content) {
-    const std::optional<store::SealedBlob> blob =
-        model_store_.get(*content, target.device.store_binding());
-    if (!blob) return abort_migration(accel::DeviceStatus::kBadOperand);
+  auto fresh = make_tenant(tenant, target_device, target_session);
+  if (source_plan && hash && content) {
     const std::shared_ptr<const host::ExecutionPlan> target_plan =
-        plan_for(hash, *net, target_generation);
-    if (!target_plan) return abort_migration(accel::DeviceStatus::kBadOperand);
-    Bytes descriptor;
-    accel::DeviceStatus status;
-    {
-      std::lock_guard<std::mutex> busy(target.busy);
-      status = fault_gate(target_device);
-      if (status == accel::DeviceStatus::kOk)
-        status = target.device.unseal_model(
-            target_session, *blob, target_plan->weight_base, descriptor);
-    }
+        plan_for(*hash, *net, target_generation);
+    const accel::DeviceStatus status = unseal_stored_model(
+        target_device, target_session, *content, *target_plan, net);
     if (status != accel::DeviceStatus::kOk) return abort_migration(status);
-    const std::optional<host::ParsedDescriptor> parsed =
-        host::parse_descriptor(descriptor);
-    if (!parsed || !descriptor_matches(parsed->net, *net))
-      return abort_migration(accel::DeviceStatus::kBadOperand);
     fresh->plan = target_plan;
-    fresh->has_model_hash = true;
     fresh->model_hash = hash;
     fresh->model_content = *content;
     result.model_restored = true;
@@ -618,11 +590,7 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   // source took them down with its SRAM) and publish the move.
   devices_[source_device]->tenant_count.fetch_sub(1, std::memory_order_relaxed);
   target.tenant_count.fetch_add(1, std::memory_order_relaxed);
-  if (!faults_.dead(source_device)) {
-    DeviceNode& source = *devices_[source_device];
-    std::lock_guard<std::mutex> busy(source.busy);
-    source.device.close_session(entry->session);
-  }
+  close_session(source_device, entry->session);
   ins_.migrations_ok.inc();
   trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                 static_cast<u32>(target_device), 4);
@@ -636,24 +604,43 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   return result;
 }
 
-accel::DeviceStatus InferenceServer::disconnect(TenantId tenant) {
+std::shared_ptr<InferenceServer::Tenant> InferenceServer::retire(
+    TenantId tenant, RequestOutcome outcome,
+    const std::function<std::shared_ptr<Tenant>(Shard&)>& pick) {
   Shard& shard = table_.shard_for(tenant);
   std::shared_ptr<Tenant> entry;
   std::deque<Request> orphaned;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.tenants.find(tenant);
-    if (it != shard.tenants.end() && it->second->open) {
-      entry = it->second;
-      entry->open = false;
-      shard.tenants.erase(it);
-      // Queued work: a worker that owns the tenant (scheduled) observes
-      // open == false at its next pickup and drains everything as kNoTenant.
-      // An unscheduled tenant will never be visited — drain it here so no
-      // promise is left dangling and the admission counters return.
-      if (!entry->scheduled) orphaned.swap(entry->pending);
-    }
+    entry = pick(shard);
+    if (!entry) return nullptr;
+    entry->open = false;
+    entry->teardown_outcome = outcome;
+    if (!entry->scheduled) orphaned.swap(entry->pending);
+    shard.tenants.erase(tenant);
   }
+  devices_[entry->device_index]->tenant_count.fetch_sub(
+      1, std::memory_order_relaxed);
+  drain(orphaned, outcome);
+  return entry;
+}
+
+accel::DeviceStatus InferenceServer::close_session(std::size_t device_index,
+                                                   accel::SessionId session) {
+  if (faults_.dead(device_index)) return accel::DeviceStatus::kUnavailable;
+  DeviceNode& node = *devices_[device_index];
+  std::lock_guard<std::mutex> busy(node.busy);
+  return node.device.close_session(session);
+}
+
+accel::DeviceStatus InferenceServer::disconnect(TenantId tenant) {
+  const std::shared_ptr<Tenant> entry = retire(
+      tenant, RequestOutcome::kNoTenant,
+      [&](Shard& shard) -> std::shared_ptr<Tenant> {
+        auto it = shard.tenants.find(tenant);
+        if (it == shard.tenants.end() || !it->second->open) return nullptr;
+        return it->second;
+      });
   if (!entry) {
     // Not in the table — possibly torn down by failover. Disconnecting a
     // failover-pending tenant abandons the pending reconnect.
@@ -661,20 +648,7 @@ accel::DeviceStatus InferenceServer::disconnect(TenantId tenant) {
     failovers_.erase(tenant);
     return accel::DeviceStatus::kNoSession;
   }
-  devices_[entry->device_index]->tenant_count.fetch_sub(
-      1, std::memory_order_relaxed);
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned) orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  resolve_all(orphaned, RequestOutcome::kNoTenant);
-  // CloseSession waits for any in-flight batch (device busy lock), then
-  // zeroizes the slot's keys. A dead device cannot be reached — its keys
-  // died with it, which is just as final.
-  if (faults_.dead(entry->device_index))
-    return accel::DeviceStatus::kUnavailable;
-  DeviceNode& node = *devices_[entry->device_index];
-  std::lock_guard<std::mutex> busy(node.busy);
-  return node.device.close_session(entry->session);
+  return close_session(entry->device_index, entry->session);
 }
 
 crypto::Sha256Digest InferenceServer::model_hash(const host::FuncNetwork& net) {
@@ -725,22 +699,6 @@ std::shared_ptr<const host::ExecutionPlan> InferenceServer::plan_for(
   return it->second;
 }
 
-bool InferenceServer::descriptor_matches(const host::FuncNetwork& got,
-                                         const host::FuncNetwork& expect) {
-  bool matches = got.in_c == expect.in_c && got.in_h == expect.in_h &&
-                 got.in_w == expect.in_w && got.bits == expect.bits &&
-                 got.layers.size() == expect.layers.size();
-  for (std::size_t i = 0; matches && i < got.layers.size(); ++i) {
-    const host::FuncLayer& a = got.layers[i];
-    const host::FuncLayer& b = expect.layers[i];
-    matches = a.kind == b.kind && a.out_c == b.out_c && a.kernel == b.kernel &&
-              a.stride == b.stride && a.pad == b.pad &&
-              a.requant_shift == b.requant_shift &&
-              a.input2_layer == b.input2_layer;
-  }
-  return matches;
-}
-
 std::shared_ptr<const host::ExecutionPlan> InferenceServer::resolve_plan(
     const ModelHandle& model, std::size_t device_index) {
   const u64 generation = devices_[device_index]->device.device_generation();
@@ -755,11 +713,7 @@ ModelHandle InferenceServer::register_model(const host::FuncNetwork& net) {
   // rare recompile-after-reset path, so they share a cached copy instead of
   // each holding a private duplicate of the weights. The (large) copy is
   // made outside plan_mu_; a racing duplicate is dropped, first insert wins.
-  {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    auto it = net_cache_.find(handle.hash);
-    if (it != net_cache_.end()) handle.net = it->second;
-  }
+  handle.net = cached_net(handle.hash);
   if (!handle.net) {
     auto copy = std::make_shared<const host::FuncNetwork>(net);
     std::lock_guard<std::mutex> lock(plan_mu_);
@@ -776,6 +730,36 @@ ModelHandle InferenceServer::register_model(const host::FuncNetwork& net) {
   return handle;
 }
 
+std::shared_ptr<const host::FuncNetwork> InferenceServer::cached_net(
+    const crypto::Sha256Digest& hash) {
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  auto it = net_cache_.find(hash);
+  return it == net_cache_.end() ? nullptr : it->second;
+}
+
+void InferenceServer::prune_plans(bool routable_only) {
+  u64 min_generation = ~u64{0};
+  for (std::size_t i = 0; i < devices_.size(); ++i)
+    if (!routable_only || routable(i))
+      min_generation =
+          std::min(min_generation, devices_[i]->device.device_generation());
+  if (min_generation == ~u64{0}) return;
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
+    it = it->first.second < min_generation ? plan_cache_.erase(it)
+                                           : std::next(it);
+  }
+}
+
+std::shared_ptr<InferenceServer::Tenant> InferenceServer::make_tenant(
+    TenantId tenant, std::size_t device_index, accel::SessionId session) {
+  auto entry = std::make_shared<Tenant>(tenant, devices_[device_index]->device,
+                                        device_index, session);
+  entry->requests_counter = &metrics_.counter(
+      "serving_tenant_requests_total", {{"tenant", std::to_string(tenant)}});
+  return entry;
+}
+
 std::shared_ptr<InferenceServer::Tenant> InferenceServer::find_tenant(
     TenantId tenant) {
   Shard& shard = table_.shard_for(tenant);
@@ -783,12 +767,6 @@ std::shared_ptr<InferenceServer::Tenant> InferenceServer::find_tenant(
   auto it = shard.tenants.find(tenant);
   if (it == shard.tenants.end() || !it->second->open) return nullptr;
   return it->second;
-}
-
-void InferenceServer::touch(const std::shared_ptr<Tenant>& tenant) {
-  Shard& shard = table_.shard_for(tenant->id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  tenant->last_activity = Clock::now();
 }
 
 accel::DeviceStatus InferenceServer::load_model(
@@ -800,20 +778,15 @@ accel::DeviceStatus InferenceServer::load_model(
   const std::shared_ptr<const host::ExecutionPlan> plan =
       resolve_plan(model, entry->device_index);
   if (!plan) return accel::DeviceStatus::kBadOperand;
-  DeviceNode& node = *devices_[entry->device_index];
-  accel::DeviceStatus status;
-  {
-    std::lock_guard<std::mutex> busy(node.busy);
-    status = fault_gate(entry->device_index);
-    if (status == accel::DeviceStatus::kOk)
-      status = node.device.set_weight(entry->session, sealed_weights,
-                                      plan->weight_base);
-  }
+  const accel::DeviceStatus status =
+      device_call(entry->device_index, [&](accel::GuardNnDevice& device) {
+        return device.set_weight(entry->session, sealed_weights,
+                                 plan->weight_base);
+      });
   if (status != accel::DeviceStatus::kOk) return status;
   Shard& shard = table_.shard_for(tenant);
   std::lock_guard<std::mutex> lock(shard.mu);
   entry->plan = plan;
-  entry->has_model_hash = true;
   entry->model_hash = model.hash;
   entry->last_activity = Clock::now();
   return status;
@@ -831,17 +804,12 @@ accel::DeviceStatus InferenceServer::seal_tenant_model(
   }
   if (!plan) return accel::DeviceStatus::kBadOperand;
 
-  DeviceNode& node = *devices_[entry->device_index];
   store::SealedBlob blob;
-  accel::DeviceStatus status;
-  {
-    std::lock_guard<std::mutex> busy(node.busy);
-    status = fault_gate(entry->device_index);
-    if (status == accel::DeviceStatus::kOk)
-      status = node.device.seal_model(entry->session, plan->weight_base,
-                                      plan->weight_blob.size(), descriptor,
-                                      blob);
-  }
+  const accel::DeviceStatus status =
+      device_call(entry->device_index, [&](accel::GuardNnDevice& device) {
+        return device.seal_model(entry->session, plan->weight_base,
+                                 plan->weight_blob.size(), descriptor, blob);
+      });
   if (status != accel::DeviceStatus::kOk) return status;
   const std::optional<store::ContentId> content = model_store_.put(blob);
   if (!content) return accel::DeviceStatus::kBadOperand;
@@ -869,23 +837,19 @@ accel::DeviceStatus InferenceServer::replicate_model(
   // the device's store key), and a quarantined one is not trusted to answer.
   // Store-aware placement: the most recently touched replica's device (the
   // one most likely warm and serving this model) is tried first.
+  const std::optional<store::BindingId> hint =
+      model_store_.preferred_binding(content);
   std::size_t source_device = devices_.size();
-  if (const std::optional<store::BindingId> hint =
-          model_store_.preferred_binding(content)) {
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      if (i != target_device && routable(i) &&
-          devices_[i]->device.store_binding() == *hint) {
-        source_device = i;
-        break;
-      }
-    }
-  }
-  for (std::size_t i = 0;
-       source_device == devices_.size() && i < devices_.size(); ++i) {
-    if (i != target_device && routable(i) &&
-        model_store_.contains(content, devices_[i]->device.store_binding())) {
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    if (i == target_device || !routable(i)) continue;
+    const store::BindingId& binding = devices_[i]->device.store_binding();
+    if (hint && binding == *hint) {
       source_device = i;
+      break;
     }
+    if (source_device == devices_.size() &&
+        model_store_.contains(content, binding))
+      source_device = i;
   }
   if (source_device == devices_.size()) return accel::DeviceStatus::kBadOperand;
   DeviceNode& source = *devices_[source_device];
@@ -904,36 +868,60 @@ accel::DeviceStatus InferenceServer::replicate_model(
       model_store_.get(content, source.device.store_binding());
   if (!blob) return accel::DeviceStatus::kBadOperand;
 
-  // Three-step attested re-wrap; the device busy locks are taken one at a
-  // time (never nested), mirroring three host→device commands.
+  // Three-step attested re-wrap: three host→device commands, so the device
+  // busy locks are taken one at a time (never nested).
   accel::ProvisionRequest request;
-  {
-    std::lock_guard<std::mutex> busy(target.busy);
-    accel::DeviceStatus status = fault_gate(target_device);
-    if (status == accel::DeviceStatus::kOk)
-      status = target.device.provision_begin(request);
-    if (status != accel::DeviceStatus::kOk) return status;
-  }
+  accel::DeviceStatus status =
+      device_call(target_device, [&](accel::GuardNnDevice& device) {
+        return device.provision_begin(request);
+      });
+  if (status != accel::DeviceStatus::kOk) return status;
   store::SealedBlob wrapped;
   accel::ProvisionGrant grant;
-  {
-    std::lock_guard<std::mutex> busy(source.busy);
-    accel::DeviceStatus status = fault_gate(source_device);
-    if (status == accel::DeviceStatus::kOk)
-      status = source.device.export_for_device(*blob, request, wrapped, grant);
-    if (status != accel::DeviceStatus::kOk) return status;
-  }
+  status = device_call(source_device, [&](accel::GuardNnDevice& device) {
+    return device.export_for_device(*blob, request, wrapped, grant);
+  });
+  if (status != accel::DeviceStatus::kOk) return status;
   store::SealedBlob rebound;
-  {
-    std::lock_guard<std::mutex> busy(target.busy);
-    accel::DeviceStatus status = fault_gate(target_device);
-    if (status == accel::DeviceStatus::kOk)
-      status = target.device.provision_finish(wrapped, grant, rebound);
-    if (status != accel::DeviceStatus::kOk) return status;
-  }
+  status = device_call(target_device, [&](accel::GuardNnDevice& device) {
+    return device.provision_finish(wrapped, grant, rebound);
+  });
+  if (status != accel::DeviceStatus::kOk) return status;
   if (!model_store_.put(rebound)) return accel::DeviceStatus::kBadOperand;
   ins_.replications.inc();
   return accel::DeviceStatus::kOk;
+}
+
+accel::DeviceStatus InferenceServer::unseal_stored_model(
+    std::size_t device_index, accel::SessionId session,
+    const store::ContentId& content, const host::ExecutionPlan& plan,
+    const std::shared_ptr<const host::FuncNetwork>& net) {
+  const std::optional<store::SealedBlob> blob =
+      model_store_.get(content, devices_[device_index]->device.store_binding());
+  if (!blob) return accel::DeviceStatus::kBadOperand;
+  Bytes descriptor;
+  const accel::DeviceStatus status =
+      device_call(device_index, [&](accel::GuardNnDevice& device) {
+        return device.unseal_model(session, *blob, plan.weight_base,
+                                   descriptor);
+      });
+  if (status != accel::DeviceStatus::kOk) return status;
+  const std::optional<host::ParsedDescriptor> parsed =
+      host::parse_descriptor(descriptor);
+  if (!parsed || !net) return accel::DeviceStatus::kBadOperand;
+  const host::FuncNetwork& got = parsed->net;
+  bool matches = got.in_c == net->in_c && got.in_h == net->in_h &&
+                 got.in_w == net->in_w && got.bits == net->bits &&
+                 got.layers.size() == net->layers.size();
+  for (std::size_t i = 0; matches && i < got.layers.size(); ++i) {
+    const host::FuncLayer& a = got.layers[i];
+    const host::FuncLayer& b = net->layers[i];
+    matches = a.kind == b.kind && a.out_c == b.out_c && a.kernel == b.kernel &&
+              a.stride == b.stride && a.pad == b.pad &&
+              a.requant_shift == b.requant_shift &&
+              a.input2_layer == b.input2_layer;
+  }
+  return matches ? accel::DeviceStatus::kOk : accel::DeviceStatus::kBadOperand;
 }
 
 accel::DeviceStatus InferenceServer::load_model_from_store(
@@ -941,47 +929,25 @@ accel::DeviceStatus InferenceServer::load_model_from_store(
   if (!model.valid()) return accel::DeviceStatus::kBadOperand;
   const std::shared_ptr<Tenant> entry = find_tenant(tenant);
   if (!entry) return accel::DeviceStatus::kNoSession;
-  DeviceNode& node = *devices_[entry->device_index];
 
   // Hot-model replication on demand: a tenant placed on a device that does
   // not yet hold the model pulls a replica over the attested re-wrap path.
-  if (!model_store_.contains(content, node.device.store_binding())) {
+  if (!model_store_.contains(
+          content, devices_[entry->device_index]->device.store_binding())) {
     const accel::DeviceStatus status =
         replicate_model(content, entry->device_index);
     if (status != accel::DeviceStatus::kOk) return status;
   }
-  const std::optional<store::SealedBlob> blob =
-      model_store_.get(content, node.device.store_binding());
-  if (!blob) return accel::DeviceStatus::kBadOperand;
-
   const std::shared_ptr<const host::ExecutionPlan> plan =
       resolve_plan(model, entry->device_index);
   if (!plan) return accel::DeviceStatus::kBadOperand;
-
-  Bytes descriptor;
-  accel::DeviceStatus status;
-  {
-    std::lock_guard<std::mutex> busy(node.busy);
-    status = fault_gate(entry->device_index);
-    if (status == accel::DeviceStatus::kOk)
-      status = node.device.unseal_model(entry->session, *blob,
-                                        plan->weight_base, descriptor);
-  }
+  const accel::DeviceStatus status = unseal_stored_model(
+      entry->device_index, entry->session, content, *plan, model.net);
   if (status != accel::DeviceStatus::kOk) return status;
-
-  // The stored model must actually be the one the handle describes: compare
-  // the unsealed (public) descriptor's structure against the registered
-  // network before pinning the plan, so a mismatched (content, handle) pair
-  // cannot silently serve garbage under a wrong-layout plan.
-  const std::optional<host::ParsedDescriptor> parsed =
-      host::parse_descriptor(descriptor);
-  if (!parsed || !model.net || !descriptor_matches(parsed->net, *model.net))
-    return accel::DeviceStatus::kBadOperand;
 
   Shard& shard = table_.shard_for(tenant);
   std::lock_guard<std::mutex> lock(shard.mu);
   entry->plan = plan;
-  entry->has_model_hash = true;
   entry->model_hash = model.hash;
   entry->model_content = content;
   entry->last_activity = Clock::now();
@@ -999,16 +965,18 @@ accel::DeviceStatus InferenceServer::reset_device(std::size_t index) {
     // admitted in between and survive with a wiped session. (busy -> shard
     // nesting is the sanctioned order; nothing acquires busy while holding
     // a shard mutex.) Purged tenants' queued requests resolve kNoTenant:
-    // worker-owned ones at the worker's next pickup, unowned ones here.
+    // owned ones (worker or migration) when the owner next looks, unowned
+    // ones here.
     std::lock_guard<std::mutex> busy(node.busy);
     table_.for_each_shard_locked([&](Shard& shard) {
       for (auto it = shard.tenants.begin(); it != shard.tenants.end();) {
         if (it->second->device_index == index) {
           it->second->open = false;
-          if (!it->second->scheduled)
+          if (!it->second->scheduled) {
             for (Request& request : it->second->pending)
               orphaned.push_back(std::move(request));
-          it->second->pending.clear();
+            it->second->pending.clear();
+          }
           it = shard.tenants.erase(it);
         } else {
           ++it;
@@ -1018,21 +986,9 @@ accel::DeviceStatus InferenceServer::reset_device(std::size_t index) {
     node.tenant_count.store(0, std::memory_order_relaxed);
     status = node.device.reset();
   }
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned) orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  resolve_all(orphaned, RequestOutcome::kNoTenant);
-  // Prune plans no device generation can reach any more, so periodic resets
-  // do not accumulate dead (hash, generation) entries — each one pins a full
-  // packed-weight-blob copy.
-  u64 min_generation = ~0ull;
-  for (const auto& device : devices_)
-    min_generation = std::min(min_generation, device->device.device_generation());
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    it = it->first.second < min_generation ? plan_cache_.erase(it)
-                                           : std::next(it);
-  }
+  drain(orphaned, RequestOutcome::kNoTenant);
+  // Periodic resets must not accumulate dead (hash, generation) entries.
+  prune_plans(/*routable_only=*/false);
   return status;
 }
 
@@ -1059,22 +1015,18 @@ bool InferenceServer::evict_idle_tenant(std::size_t device_index) {
       });
     }
     if (!victim) return false;
-    {
-      Shard& shard = table_.shard_for(victim->id);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.tenants.find(victim->id);
-      if (it == shard.tenants.end() || it->second != victim || !victim->open ||
-          !victim->pending.empty() || victim->scheduled || victim->draining)
-        continue;  // raced — rescan
-      victim->open = false;
-      shard.tenants.erase(it);
-    }
-    devices_[device_index]->tenant_count.fetch_sub(1,
-                                                   std::memory_order_relaxed);
+    if (!retire(victim->id, RequestOutcome::kNoTenant,
+                [&](Shard& shard) -> std::shared_ptr<Tenant> {
+                  auto it = shard.tenants.find(victim->id);
+                  if (it == shard.tenants.end() || it->second != victim ||
+                      !victim->open || !victim->pending.empty() ||
+                      victim->scheduled || victim->draining)
+                    return nullptr;
+                  return victim;
+                }))
+      continue;  // raced — rescan
     ins_.evicted.inc();
-    DeviceNode& node = *devices_[device_index];
-    std::lock_guard<std::mutex> busy(node.busy);
-    node.device.close_session(victim->session);
+    close_session(device_index, victim->session);
     return true;
   }
   return false;
@@ -1256,14 +1208,12 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     open = tenant->open;
-    // Cross-tenant batching: drain up to max_batch of this tenant's FIFO in
+    // Cross-tenant batching: drain up to kMaxBatch of this tenant's FIFO in
     // one wakeup. The tenant stays "scheduled" (owned by this worker) so no
     // other worker can reorder its secure-channel sequence numbers. A
     // torn-down tenant (disconnect/reset while we sat in the ready queue)
     // is drained whole — every promise resolves kNoTenant below.
-    const std::size_t limit =
-        open ? std::max<std::size_t>(1, config_.max_batch)
-             : tenant->pending.size();
+    const std::size_t limit = open ? kMaxBatch : tenant->pending.size();
     while (!tenant->pending.empty() && batch.size() < limit) {
       batch.push_back(std::move(tenant->pending.front()));
       tenant->pending.pop_front();
@@ -1483,15 +1433,7 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
     }
   }
   if (wake) work_sem_.release();
-  if (!orphaned.empty()) {
-    std::size_t orphaned_bytes = 0;
-    for (const Request& request : orphaned)
-      orphaned_bytes += request.charged_bytes;
-    admission_.release(orphaned.size(), orphaned_bytes);
-    if (orphan_outcome == RequestOutcome::kTimeout)
-      ins_.timeouts.inc(orphaned.size());
-    resolve_all(orphaned, orphan_outcome);
-  }
+  drain(orphaned, orphan_outcome);
 }
 
 // --- Fault tolerance / health ------------------------------------------------
@@ -1523,10 +1465,8 @@ std::size_t InferenceServer::standby_device_count() const {
 }
 
 void InferenceServer::maybe_promote_spares() {
-  const std::size_t floor = config_.spare_promote_floor
-                                ? config_.spare_promote_floor
-                                : primary_devices_;
-  while (routable_device_count() < floor) {
+  // The fleet tries to stay at full primary strength.
+  while (routable_device_count() < primary_devices_) {
     std::size_t spare = devices_.size();
     for (std::size_t i = primary_devices_; i < devices_.size(); ++i) {
       if (devices_[i]->standby.load(std::memory_order_acquire) &&
@@ -1544,15 +1484,15 @@ void InferenceServer::maybe_promote_spares() {
     {
       std::lock_guard<std::mutex> lock(failover_mu_);
       for (const auto& [id, record] : failovers_)
-        if (record.has_content) warm.push_back(record.content);
+        if (record.content) warm.push_back(*record.content);
     }
     for (const store::ContentId& content :
-         model_store_.hot_contents(config_.spare_prewarm_models))
+         model_store_.hot_contents(kSparePrewarmModels))
       warm.push_back(content);
     std::size_t warmed = 0;
     std::vector<store::ContentId> attempted;
     for (const store::ContentId& content : warm) {
-      if (warmed >= config_.spare_prewarm_models) break;
+      if (warmed >= kSparePrewarmModels) break;
       if (std::find(attempted.begin(), attempted.end(), content) !=
           attempted.end())
         continue;
@@ -1570,14 +1510,10 @@ void InferenceServer::maybe_promote_spares() {
     // pre-provisioning path).
     {
       std::lock_guard<std::mutex> lock(failover_mu_);
-      for (auto& [id, record] : failovers_) {
-        if (!record.has_target && record.has_content &&
-            model_store_.contains(record.content,
-                                  node.device.store_binding())) {
+      for (auto& [id, record] : failovers_)
+        if (!record.preferred_device && record.content &&
+            model_store_.contains(*record.content, node.device.store_binding()))
           record.preferred_device = spare;
-          record.has_target = true;
-        }
-      }
     }
     // The spare is routable now: the byte budget climbs back toward the
     // full-primary-fleet value.
@@ -1674,32 +1610,14 @@ void InferenceServer::note_device_dead(std::size_t device_index) {
 bool InferenceServer::fail_over_tenant(const std::shared_ptr<Tenant>& tenant) {
   const Clock::time_point start = Clock::now();
   FailoverRecord record;
-  std::deque<Request> orphaned;
-  std::size_t device_index;
-  accel::SessionId session;
-  {
-    Shard& shard = table_.shard_for(tenant->id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!tenant->open) return false;  // raced with disconnect/reset/failover
-    tenant->open = false;
-    tenant->teardown_outcome = RequestOutcome::kDeviceFailover;
-    // A worker that owns the tenant (scheduled) drains the remainder with
-    // teardown_outcome at its next pickup; an unowned queue drains here.
-    if (!tenant->scheduled) orphaned.swap(tenant->pending);
-    shard.tenants.erase(tenant->id);
-    record.has_model = tenant->has_model_hash;
-    record.model_hash = tenant->model_hash;
-    record.has_content = tenant->model_content.has_value();
-    if (record.has_content) record.content = *tenant->model_content;
-    device_index = tenant->device_index;
-    session = tenant->session;
-  }
-  devices_[device_index]->tenant_count.fetch_sub(1, std::memory_order_relaxed);
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned)
-    orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  resolve_all(orphaned, RequestOutcome::kDeviceFailover);
+  if (!retire(tenant->id, RequestOutcome::kDeviceFailover,
+              [&](Shard&) -> std::shared_ptr<Tenant> {
+                if (!tenant->open) return nullptr;
+                record.model_hash = tenant->model_hash;
+                record.content = tenant->model_content;
+                return tenant;
+              }))
+    return false;  // raced with disconnect/reset/failover
   {
     std::lock_guard<std::mutex> lock(failover_mu_);
     failovers_.emplace(tenant->id, record);
@@ -1707,28 +1625,20 @@ bool InferenceServer::fail_over_tenant(const std::shared_ptr<Tenant>& tenant) {
   ins_.failovers.inc();
   events_.record("failover", "tenant " + std::to_string(tenant->id) +
                                  " off device " +
-                                 std::to_string(device_index));
-  // A quarantined (still answering) device gets its slot zeroized; a dead
-  // one took the keys down with its SRAM.
-  if (!faults_.dead(device_index)) {
-    DeviceNode& node = *devices_[device_index];
-    std::lock_guard<std::mutex> busy(node.busy);
-    node.device.close_session(session);
-  }
+                                 std::to_string(tenant->device_index));
+  // A quarantined (still answering) device gets its slot zeroized.
+  close_session(tenant->device_index, tenant->session);
   // Pre-provision the sealed replica onto a surviving device so the
   // tenant's reconnect() finds its model already resident. Best-effort: a
   // model whose only replica lived on the dead device is unrecoverable
   // (that is the honest fail-stop story — see docs).
-  if (record.has_content) {
+  if (record.content) {
     const std::size_t target = pick_routable_device();
     if (target < devices_.size() &&
-        replicate_model(record.content, target) == accel::DeviceStatus::kOk) {
+        replicate_model(*record.content, target) == accel::DeviceStatus::kOk) {
       std::lock_guard<std::mutex> lock(failover_mu_);
       auto it = failovers_.find(tenant->id);
-      if (it != failovers_.end()) {
-        it->second.preferred_device = target;
-        it->second.has_target = true;
-      }
+      if (it != failovers_.end()) it->second.preferred_device = target;
     }
   }
   ins_.failover_ms.record(
@@ -1747,42 +1657,13 @@ void InferenceServer::handle_device_down(std::size_t device_index) {
   });
   for (const auto& tenant : victims) fail_over_tenant(tenant);
   rescale_admission();
-  // Prune plans compiled for generations no routable device can reach:
-  // the quarantined/dead device's generations would otherwise pin full
-  // packed-weight-blob copies until a reset.
-  u64 min_generation = ~u64{0};
-  for (std::size_t i = 0; i < devices_.size(); ++i)
-    if (routable(i))
-      min_generation =
-          std::min(min_generation, devices_[i]->device.device_generation());
-  if (min_generation == ~u64{0}) return;  // no routable device left
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  for (auto it = plan_cache_.begin(); it != plan_cache_.end();) {
-    it = it->first.second < min_generation ? plan_cache_.erase(it)
-                                           : std::next(it);
-  }
+  // The quarantined/dead device's generations would otherwise pin plans
+  // until a reset.
+  prune_plans(/*routable_only=*/true);
 }
 
 void InferenceServer::rescale_admission() {
-  // The denominator is the *primary* fleet, not devices_.size(): an
-  // unpromoted spare contributes no ingest bandwidth, so a full-strength
-  // fleet with spares standing by keeps its full budget, and a promoted
-  // spare restores budget a quarantine took away (capped at the configured
-  // full-strength value).
-  const std::size_t primary = std::max<std::size_t>(1, primary_devices_);
-  const std::size_t routable_count = routable_device_count();
-  std::size_t budget;
-  if (config_.max_pending_bytes) {
-    // Explicit budget: scale by the routable fraction of the primary fleet.
-    budget = std::min(config_.max_pending_bytes,
-                      config_.max_pending_bytes * routable_count / primary);
-  } else {
-    // Derived budget: recompute for the surviving device count.
-    const accel::MicrocontrollerModel model;
-    budget = AdmissionController::derive_byte_budget(
-        routable_count, model.import_gbs, config_.backpressure_window_ms);
-  }
-  admission_.set_byte_budget(budget);
+  admission_.set_byte_budget(byte_budget(config_, routable_device_count()));
 }
 
 void InferenceServer::reap_deadlines() {
@@ -1802,13 +1683,7 @@ void InferenceServer::reap_deadlines() {
       tenant->pending.clear();
     }
   });
-  if (orphaned.empty()) return;
-  std::size_t orphaned_bytes = 0;
-  for (const Request& request : orphaned)
-    orphaned_bytes += request.charged_bytes;
-  admission_.release(orphaned.size(), orphaned_bytes);
-  ins_.timeouts.inc(orphaned.size());
-  resolve_all(orphaned, RequestOutcome::kTimeout);
+  drain(orphaned, RequestOutcome::kTimeout);
 }
 
 void InferenceServer::monitor_loop(std::stop_token stop) {

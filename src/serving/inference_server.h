@@ -22,8 +22,8 @@
 //     preferred stripe and steals from the others. One tenant is owned by at
 //     most one worker at a time, so each tenant's secure-channel sequence
 //     numbers stay in order while different tenants run concurrently;
-//   * cross-tenant batching: a worker drains up to `max_batch` queued
-//     requests per wakeup, amortizing queue/wake overhead; the per-request
+//   * cross-tenant batching: a worker drains up to 8 queued requests of one
+//     tenant per wakeup, amortizing queue/wake overhead; the per-request
 //     data path is PR 2's batched encrypt_blocks() burst pipeline;
 //   * two-level admission control (admission.h): a per-tenant queue quota
 //     (hard kQueueFull — noisy neighbors only starve themselves) plus a
@@ -38,8 +38,9 @@
 //     scheduling against realistic device occupancy instead of simulation
 //     CPU time;
 //   * a fault-tolerance layer (fault.h + the health monitor below): every
-//     device call crosses a FaultInjector gate, per-device health degrades
-//     on consecutive failures (healthy → degraded → quarantined, or dead on
+//     device call crosses a FaultInjector gate (control-plane commands through
+//     the one device_call seam), per-device health degrades on consecutive
+//     failures (healthy → degraded → quarantined, or dead on
 //     fail-stop), a monitor thread reaps per-request deadlines and fails
 //     tenants over off dead/quarantined devices — every promise resolves,
 //     the admission byte budget rescales to the surviving fleet, and sealed
@@ -62,6 +63,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -88,8 +90,6 @@ namespace guardnn::serving {
 struct ServerConfig {
   std::size_t num_devices = 1;
   std::size_t num_workers = 1;
-  /// Max requests a worker drains from one tenant per wakeup.
-  std::size_t max_batch = 8;
   /// Shard count for the tenant/routing table, rounded up to a power of
   /// two. 0 derives max(16, 4 × num_workers) so stripes outnumber workers.
   std::size_t num_shards = 0;
@@ -98,12 +98,10 @@ struct ServerConfig {
   std::size_t max_pending_per_tenant = 64;
   /// Fleet-wide budget of queued sealed-input bytes. 0 derives it from the
   /// modeled per-device ingest bandwidth (accel::MicrocontrollerModel
-  /// import path) over `backpressure_window_ms`. Crossing the budget
-  /// answers kBackpressure — a soft signal, distinct from kQueueFull.
+  /// import path): the fleet admits at most the bytes it can ingest within
+  /// 5 modeled milliseconds. Crossing the budget answers kBackpressure — a
+  /// soft signal, distinct from kQueueFull.
   std::size_t max_pending_bytes = 0;
-  /// Window the derived byte budget covers: the fleet admits at most the
-  /// bytes it can ingest within this many modeled milliseconds.
-  double backpressure_window_ms = 5.0;
   /// Sleep off the modeled device time while holding the device lock (see
   /// file header). OFF for tests; benches turn it on.
   bool emulate_device_latency = false;
@@ -122,18 +120,11 @@ struct ServerConfig {
 
   /// Standby devices fabricated *in addition to* num_devices. A spare has a
   /// full identity and DRAM partition but carries no traffic (never
-  /// routable) until the health monitor promotes it — when quarantine drops
-  /// the routable fleet below `spare_promote_floor`. The admission byte
-  /// budget is always scaled against the primary fleet, so an unpromoted
-  /// spare costs nothing and a promoted one restores lost budget.
+  /// routable) until the health monitor pre-warms and promotes it — when
+  /// quarantine drops the routable fleet below num_devices. The admission
+  /// byte budget is always scaled against the primary fleet, so an
+  /// unpromoted spare costs nothing and a promoted one restores lost budget.
   std::size_t num_spare_devices = 0;
-  /// Routable-device floor that triggers spare promotion. 0 derives
-  /// num_devices: the fleet tries to stay at full primary strength.
-  std::size_t spare_promote_floor = 0;
-  /// Sealed models a freshly promoted spare is pre-warmed with, via the
-  /// attested re-wrap: displaced (failover-pending) tenants' replicas first,
-  /// then store popularity order (ModelStore::hot_contents).
-  std::size_t spare_prewarm_models = 4;
 
   // --- Fault tolerance / health (see the file-header failure model) --------
 
@@ -164,8 +155,6 @@ struct ServerConfig {
   /// by GUARDNN_TRACE=1 or trace().set_enabled(true); while disabled the
   /// per-request cost is one relaxed load.
   std::size_t trace_capacity = 1 << 17;
-  /// Bounded health/failover event log (obs::EventLog) capacity.
-  std::size_t event_log_capacity = 1024;
 };
 
 /// Per-device health as seen by the serving control plane. Healthy and
@@ -382,10 +371,13 @@ class InferenceServer {
   /// a failover record is registered for reconnect()); if the *target* dies
   /// or rejects, the migration aborts and the tenant resumes on the source
   /// untouched (tenant == 0, status from the failing step, no future lost).
+  /// A tenant disconnected (or whose source is reset) mid-move is not a
+  /// failure: the migration aborts and parked futures resolve kNoTenant.
   ///
-  /// Errors: kNoSession (unknown tenant, or a migration already draining
-  /// it), kBadOperand (bad target index, or target == source),
-  /// kUnavailable (target not routable / died mid-move).
+  /// Errors: kNoSession (unknown tenant, a migration already draining it,
+  /// or the tenant disconnected or its source reset mid-move), kBadOperand
+  /// (bad target index, or target == source), kUnavailable (target not
+  /// routable / died mid-move, or the source died mid-move).
   ConnectResult migrate_tenant(TenantId tenant, std::size_t target_device,
                                const crypto::AffinePoint& user_ephemeral,
                                bool integrity);
@@ -634,8 +626,7 @@ class InferenceServer {
     /// sealed replica (if any) a failover can restore from. Written under
     /// the shard lock by load_model / load_model_from_store /
     /// seal_tenant_model.
-    bool has_model_hash = false;
-    crypto::Sha256Digest model_hash{};
+    std::optional<crypto::Sha256Digest> model_hash;
     std::optional<store::ContentId> model_content;
     /// Last time this tenant touched the server (connect, load, submit,
     /// batch completion) — the LRU clock for idle eviction.
@@ -666,17 +657,53 @@ class InferenceServer {
   void resolve_one(Request& request, InferenceResult result);
   std::future<InferenceResult> immediate_result(u64 trace_id, TenantId tenant,
                                                 RequestOutcome outcome);
-  /// Resolves a drained request queue with `outcome` (no device involved).
-  void resolve_all(std::deque<Request>& requests, RequestOutcome outcome);
+  /// The queue drain: returns the admission charge of `requests` (admitted,
+  /// never picked up), counts them as timeouts when `outcome` is kTimeout,
+  /// and resolves each with `outcome` (no device involved).
+  void drain(std::deque<Request>& requests, RequestOutcome outcome);
 
   /// Looks up a live tenant (shard lock taken and released inside).
   std::shared_ptr<Tenant> find_tenant(TenantId tenant);
-  /// Stamps the LRU clock under the tenant's shard lock.
-  void touch(const std::shared_ptr<Tenant>& tenant);
 
   /// Evicts the least-recently-active idle tenant on `device_index` (session
   /// closed + zeroized device-side). False when every tenant there is busy.
   bool evict_idle_tenant(std::size_t device_index);
+
+  /// The device-command seam, the only way a control-plane command reaches
+  /// a device: takes its busy lock, makes exactly one fault_gate decision
+  /// and, if that lets the call through, runs `command` under the same hold
+  /// (defined in the .cc, its only user).
+  template <typename Command>
+  accel::DeviceStatus device_call(std::size_t device_index, Command&& command);
+  /// InitSession with the bounded idle-eviction retry. `admit` registers the
+  /// session under the same busy hold, so reset_device cannot interleave;
+  /// a non-kOk `admit` closes the session again and becomes the status.
+  accel::InitSessionResponse open_session(
+      std::size_t device_index, const crypto::AffinePoint& user_ephemeral,
+      bool integrity,
+      const std::function<accel::DeviceStatus(accel::SessionId)>& admit);
+  /// UnsealModel of stored `content` into `session`, then the check that the
+  /// unsealed (public) descriptor has `net`'s structure: a mismatched pair
+  /// must not serve garbage under a wrong-layout plan.
+  accel::DeviceStatus unseal_stored_model(
+      std::size_t device_index, accel::SessionId session,
+      const store::ContentId& content, const host::ExecutionPlan& plan,
+      const std::shared_ptr<const host::FuncNetwork>& net);
+  /// The retire path: under the shard lock, flips the entry `pick` selects
+  /// closed with `outcome` and erases it, then drops tenant_count and drains
+  /// the queue unless a worker or migration owns it. nullptr: none picked.
+  std::shared_ptr<Tenant> retire(
+      TenantId tenant, RequestOutcome outcome,
+      const std::function<std::shared_ptr<Tenant>(Shard&)>& pick);
+  /// CloseSession; kUnavailable without a call when the device is dead.
+  accel::DeviceStatus close_session(std::size_t device_index,
+                                    accel::SessionId session);
+  std::shared_ptr<Tenant> make_tenant(TenantId tenant, std::size_t device_index,
+                                      accel::SessionId session);
+  std::shared_ptr<const host::FuncNetwork> cached_net(
+      const crypto::Sha256Digest& hash);
+  /// Drops plans compiled for generations no (routable) device can reach.
+  void prune_plans(bool routable_only);
 
   /// Plan cache lookup/compile for one (model, device generation) pair.
   std::shared_ptr<const host::ExecutionPlan> plan_for(
@@ -689,12 +716,10 @@ class InferenceServer {
       const ModelHandle& model, std::size_t device_index);
 
   static std::size_t derived_shard_count(const ServerConfig& config);
-  static std::size_t derived_byte_budget(const ServerConfig& config);
-  /// Structural equality of an unsealed (public) descriptor against the
-  /// registered network — the guard that keeps a mismatched (content,
-  /// handle) pair from serving garbage under a wrong-layout plan.
-  static bool descriptor_matches(const host::FuncNetwork& got,
-                                 const host::FuncNetwork& expect);
+  /// The admission byte budget with `routable_devices` of the primary fleet
+  /// up (configured, or derived from the modeled ingest bandwidth).
+  static std::size_t byte_budget(const ServerConfig& config,
+                                 std::size_t routable_devices);
 
   // --- Fault tolerance internals -------------------------------------------
   // Lock ordering: the failover map mutex, any shard mutex, and plan_mu_ are
@@ -705,12 +730,9 @@ class InferenceServer {
 
   /// What reconnect() needs to resume a failed-over tenant.
   struct FailoverRecord {
-    std::size_t preferred_device = 0;  ///< Pre-provisioned target (if any).
-    bool has_target = false;
-    bool has_content = false;
-    store::ContentId content{};  ///< Sealed model replica in the store.
-    bool has_model = false;
-    crypto::Sha256Digest model_hash{};
+    std::optional<std::size_t> preferred_device;  ///< Pre-provisioned target.
+    std::optional<store::ContentId> content;  ///< Sealed replica in the store.
+    std::optional<crypto::Sha256Digest> model_hash;
   };
 
   /// Monitor thread: fail-stop detection, down-device handling (tenant
@@ -746,8 +768,9 @@ class InferenceServer {
   /// Least-loaded routable device; devices_.size() when none remains.
   std::size_t pick_routable_device() const;
   /// The control-plane fault gate: one injector decision before a device
-  /// call. kOk = proceed; kUnavailable = death/drop (command lost);
-  /// kIntegrityFailure = transient fault (record not consumed).
+  /// command, made only inside device_call. kOk = proceed; kUnavailable =
+  /// death/drop (command lost); kIntegrityFailure = transient fault (record
+  /// not consumed).
   accel::DeviceStatus fault_gate(std::size_t device_index);
 
   ServerConfig config_;
@@ -771,7 +794,7 @@ class InferenceServer {
   mutable obs::MetricRegistry metrics_;
   obs::TraceCollector trace_;
   /// Timestamped health/failover edges (healthy→degraded→quarantined→dead,
-  /// reinstatements, failovers); exported via telemetry().
+  /// reinstatements, failovers), newest 1024 kept; exported via telemetry().
   obs::EventLog events_;
 
   /// Stable handles into metrics_ for everything the data plane increments —

@@ -455,6 +455,46 @@ TEST(Migration, TargetDeathMidMigrationAbortsAndTenantResumesOnSource) {
   ASSERT_EQ(result.outcome, RequestOutcome::kOk) << outcome_name(result.outcome);
 }
 
+TEST(Migration, DisconnectMidMigrationAbortsWithoutFailover) {
+  // A tenant disconnected after the drain mark is torn down by its owner,
+  // not by a device failure: the migration counts as aborted and answers
+  // kNoSession, and no failover is recorded or registered.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork net = small_cnn(11600);
+  TenantClient client;
+  ASSERT_TRUE(client.connect(server, env.ca.public_key(), 11601));
+  ASSERT_TRUE(client.load(server, net));
+  const std::size_t target = 1 - client.device_index;
+
+  // Wedge the target's first gated call: once the injector has fired, the
+  // migration sits inside that call, past the drain mark.
+  server.faults().script_latency(target, 300, 1);
+  const u64 injected_before = server.faults().injected_count();
+  InferenceServer::ConnectResult moved;
+  std::thread migrator([&] { moved = client.start_migrate(server, target); });
+  const bool wedged = eventually(
+      [&] { return server.faults().injected_count() > injected_before; },
+      /*iterations=*/20000);
+  const DeviceStatus disconnected = server.disconnect(client.tenant);
+  migrator.join();
+  ASSERT_TRUE(wedged);
+  EXPECT_EQ(disconnected, DeviceStatus::kOk);
+
+  EXPECT_EQ(moved.tenant, 0u);
+  EXPECT_EQ(moved.response.status, DeviceStatus::kNoSession);
+  EXPECT_FALSE(server.failover_pending(client.tenant));
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.migrations, 0u);
+  EXPECT_EQ(stats.migrations_aborted, 1u);
+  EXPECT_EQ(stats.migrations_degraded, 0u);
+  EXPECT_EQ(stats.failovers, 0u);
+}
+
 TEST(Migration, ConcurrentDisjointTenantMigrationsOverlap) {
   // Two tenants on disjoint (source, target) device pairs migrate at the
   // same moment from two threads. Nothing serializes them globally (the

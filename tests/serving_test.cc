@@ -504,6 +504,126 @@ TEST(SessionEviction, DisabledEvictionStillRefusesWhenFull) {
   EXPECT_EQ(server.stats().evicted, 0u);
 }
 
+/// Connects an idle tenant for the server side only: InitSession needs a
+/// valid user share, but the resident never completes its handshake, so
+/// fillers can share one share and skip the client-side EC work.
+TenantId connect_idle(InferenceServer& server, const crypto::AffinePoint& share,
+                      std::size_t& device_index) {
+  const auto connected = server.connect(share, /*integrity=*/true);
+  device_index = connected.device_index;
+  return connected.tenant;
+}
+
+TEST(SessionEviction, ReconnectOntoFullFailoverTargetEvictsIdleTenant) {
+  // reconnect() has the same bounded idle-eviction retry as connect(): a
+  // failed-over tenant whose only surviving device has a full session table
+  // resumes there by evicting the survivor's least-recently-active idle
+  // tenant.
+  ServerFixture fx;
+  InferenceServer server = fx.make(2, 1);
+  const FuncNetwork net = small_cnn(801);
+  const Bytes input_bytes = tensor_bytes(random_input(net, 802));
+
+  TenantClient displaced;
+  ASSERT_TRUE(displaced.connect(server, fx.ca.public_key(), 810, true));
+  ASSERT_TRUE(displaced.load(server, net));
+  const std::size_t dead = displaced.device_index;
+  const std::size_t survivor = 1 - dead;
+  // The replica must already sit on the survivor: the dead device's own
+  // replica is stranded with its store key.
+  store::ContentId content{};
+  ASSERT_EQ(server.seal_tenant_model(displaced.tenant,
+                                     host::serialize_descriptor(net), content),
+            DeviceStatus::kOk);
+  ASSERT_EQ(server.replicate_model(content, survivor), DeviceStatus::kOk);
+
+  server.faults().kill(dead);
+  for (int i = 0; i < 5000 && !server.failover_pending(displaced.tenant); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(server.failover_pending(displaced.tenant));
+
+  // The dead device is not routable, so every resident lands on the
+  // survivor; the first one is its least-recently-active tenant.
+  RemoteUser filler(fx.ca.public_key(), Bytes{0x81});
+  const crypto::AffinePoint share = filler.begin_session();
+  std::vector<TenantId> residents;
+  for (std::size_t i = 0; i < accel::GuardNnDevice::kMaxSessions; ++i) {
+    std::size_t device_index = 0;
+    residents.push_back(connect_idle(server, share, device_index));
+    ASSERT_NE(residents.back(), 0u);
+    ASSERT_EQ(device_index, survivor);
+  }
+  const accel::SessionId lru_session = server.tenant_session(residents[0]).second;
+
+  const auto resumed = server.reconnect(
+      displaced.tenant, displaced.user->begin_session(), /*integrity=*/true);
+  ASSERT_EQ(resumed.tenant, displaced.tenant)
+      << "reconnect onto a full table must evict an idle tenant, not refuse: "
+      << static_cast<int>(resumed.response.status);
+  EXPECT_EQ(resumed.device_index, survivor);
+  EXPECT_TRUE(resumed.model_restored);
+  EXPECT_EQ(server.stats().evicted, 1u);
+  ASSERT_TRUE(displaced.user->attest_device(server.get_pk(survivor)));
+  ASSERT_TRUE(displaced.user->complete_session(resumed.response));
+  const InferenceResult result =
+      server.submit(displaced.tenant, displaced.user->seal(input_bytes));
+  ASSERT_EQ(result.outcome, RequestOutcome::kOk) << outcome_name(result.outcome);
+
+  EXPECT_EQ(server.submit(residents[0], crypto::SealedRecord{}).outcome,
+            RequestOutcome::kNoTenant);
+  EXPECT_FALSE(server.device(survivor).session_active(lru_session));
+}
+
+TEST(SessionEviction, MigrateOntoFullTargetEvictsIdleTenant) {
+  // migrate_tenant() opens the target session with the same bounded
+  // idle-eviction retry as connect(): a full target gives up its
+  // least-recently-active idle tenant and the move completes.
+  ServerFixture fx;
+  InferenceServer server = fx.make(2, 1);
+  const FuncNetwork net = small_cnn(851);
+  const functional::Tensor input = random_input(net, 852);
+
+  TenantClient mover;
+  ASSERT_TRUE(mover.connect(server, fx.ca.public_key(), 860, true));
+  ASSERT_TRUE(mover.load(server, net));
+  const std::size_t target = 1 - mover.device_index;
+
+  // Least-loaded placement alternates devices, so 2 * 16 - 1 more connects
+  // fill the target's table; the first resident placed there is its LRU.
+  RemoteUser filler(fx.ca.public_key(), Bytes{0x85});
+  const crypto::AffinePoint share = filler.begin_session();
+  TenantId lru = 0;
+  for (std::size_t i = 0; i < 2 * accel::GuardNnDevice::kMaxSessions - 1; ++i) {
+    std::size_t device_index = 0;
+    const TenantId resident = connect_idle(server, share, device_index);
+    ASSERT_NE(resident, 0u);
+    if (!lru && device_index == target) lru = resident;
+  }
+  ASSERT_NE(lru, 0u);
+  const accel::SessionId lru_session = server.tenant_session(lru).second;
+
+  const auto moved = server.migrate_tenant(
+      mover.tenant, target, mover.user->begin_session(), /*integrity=*/true);
+  ASSERT_EQ(moved.tenant, mover.tenant)
+      << "migration onto a full table must evict an idle tenant, not abort: "
+      << static_cast<int>(moved.response.status);
+  EXPECT_TRUE(moved.model_restored);
+  EXPECT_EQ(server.stats().evicted, 1u);
+  EXPECT_EQ(server.stats().migrations, 1u);
+  ASSERT_TRUE(mover.user->attest_device(server.get_pk(target)));
+  ASSERT_TRUE(mover.user->complete_session(moved.response));
+  const InferenceResult result =
+      server.submit(mover.tenant, mover.user->seal(tensor_bytes(input)));
+  ASSERT_EQ(result.outcome, RequestOutcome::kOk) << outcome_name(result.outcome);
+  const auto output = mover.user->open_output(result.sealed_output);
+  ASSERT_TRUE(output.has_value());
+  EXPECT_EQ(*output, host::reference_run(net, input));
+
+  EXPECT_EQ(server.submit(lru, crypto::SealedRecord{}).outcome,
+            RequestOutcome::kNoTenant);
+  EXPECT_FALSE(server.device(target).session_active(lru_session));
+}
+
 TEST(FleetProvisioning, DisjointDevicePairsReplicateConcurrently) {
   // Regression: the provisioning exclusion used to be one server-global
   // mutex, so a replication stalled behind a busy target device blocked
