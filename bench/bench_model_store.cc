@@ -24,6 +24,7 @@
 #include "common/rng.h"
 #include "crypto/mem_mac.h"
 #include "host/user_client.h"
+#include "obs/metrics.h"
 
 namespace guardnn {
 namespace {
@@ -135,8 +136,8 @@ int run() {
   const double unseal_gbps = gbps(unseal_ms);
 
   // Replication latency: full begin -> export_for_device -> finish rounds,
-  // collected into the telemetry-grade latency histogram (bench_util.h).
-  bench::LatencyHist replicate_ms;
+  // collected into the histogram the serving telemetry exports.
+  obs::Histogram replicate_ms;
   for (int i = 0; i < kReplicateIters; ++i) {
     start = Clock::now();
     accel::ProvisionRequest request;

@@ -7,18 +7,9 @@
 
 #include "common/table.h"
 #include "dnn/models.h"
-#include "obs/metrics.h"
 #include "sim/perf_model.h"
 
 namespace guardnn::bench {
-
-/// Latency collector for the benches: the same log-bucketed histogram the
-/// serving telemetry exports, so bench tables and telemetry() consumers share
-/// ONE percentile implementation (≤3.1% bucket width, exact rank walk;
-/// tests/obs_test.cc cross-checks it against a sorted-vector oracle).
-/// record() is lock-free — concurrent tenant threads share one instance
-/// instead of merging per-thread vectors.
-using LatencyHist = obs::Histogram;
 
 /// Calibrates once and caches (all figure benches share the TPU-like config).
 inline const sim::BandwidthCalibration& calibration() {

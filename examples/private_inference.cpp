@@ -55,13 +55,14 @@ int main() {
   crypto::ManufacturerCa manufacturer(ca_entropy);
   accel::GuardNnDevice device("guardnn-cloud-17", manufacturer, dram, Bytes{0x12});
   host::RemoteUser user(manufacturer.public_key(), Bytes{0x13});
-  host::HostScheduler scheduler(device);
 
   // 1. Attestation + session.
   if (!user.attest_device(device.get_pk())) return 1;
   if (!user.complete_session(
           device.init_session(user.begin_session(), /*integrity=*/true)))
     return 1;
+  const accel::SessionId sid = user.session_id();
+  host::HostScheduler scheduler(device, sid);
   std::puts("[user] device certificate verified; session keys derived");
 
   // 2. Ship the private model and a private "patient scan".
@@ -72,10 +73,10 @@ int main() {
     v = static_cast<i8>(static_cast<int>(rng.next_below(256)) - 128);
   const Bytes scan_bytes(scan.bytes().begin(), scan.bytes().end());
 
-  if (device.set_weight(user.seal(plan.weight_blob), plan.weight_base) !=
+  if (device.set_weight(sid, user.seal(plan.weight_blob), plan.weight_base) !=
       accel::DeviceStatus::kOk)
     return 1;
-  if (device.set_input(user.seal(scan_bytes), plan.input_addr) !=
+  if (device.set_input(sid, user.seal(scan_bytes), plan.input_addr) !=
       accel::DeviceStatus::kOk)
     return 1;
   scheduler.note_input();
@@ -94,7 +95,7 @@ int main() {
   // 4. Execute and export.
   if (scheduler.execute(plan) != accel::DeviceStatus::kOk) return 1;
   crypto::SealedRecord sealed;
-  if (device.export_output(plan.output_addr, plan.output_bytes, sealed) !=
+  if (device.export_output(sid, plan.output_addr, plan.output_bytes, sealed) !=
       accel::DeviceStatus::kOk)
     return 1;
   const auto logits = user.open_output(sealed);
@@ -110,7 +111,7 @@ int main() {
   user.expect_output(*logits);
   host::mirror_attestation(user, plan);
   accel::SignOutputResponse report;
-  if (device.sign_output(report) != accel::DeviceStatus::kOk) return 1;
+  if (device.sign_output(sid, report) != accel::DeviceStatus::kOk) return 1;
   std::printf("[user] attestation report verifies: %s\n",
               user.verify_attestation(report) ? "yes" : "NO");
 
@@ -122,11 +123,11 @@ int main() {
       device.init_session(user.begin_session(), true);
   if (!user.complete_session(second)) return 1;
   host::HostScheduler fresh_scheduler(device, second.session_id);
-  if (device.set_weight(user.seal(plan.weight_blob), plan.weight_base) !=
-      accel::DeviceStatus::kOk)
+  if (device.set_weight(second.session_id, user.seal(plan.weight_blob),
+                        plan.weight_base) != accel::DeviceStatus::kOk)
     return 1;
-  if (device.set_input(user.seal(scan_bytes), plan.input_addr) !=
-      accel::DeviceStatus::kOk)
+  if (device.set_input(second.session_id, user.seal(scan_bytes),
+                       plan.input_addr) != accel::DeviceStatus::kOk)
     return 1;
   fresh_scheduler.note_input();
   dram.tamper(accel::GuardNnDevice::partition_base(second.session_id) +

@@ -52,6 +52,7 @@ int main() {
   require(user.attest_device(device.get_pk()), "attestation");
   require(user.complete_session(device.init_session(user.begin_session(), true)),
           "key exchange");
+  const accel::SessionId sid = user.session_id();
 
   // Model + private training sample (target class 0).
   Xoshiro256 rng(7);
@@ -67,7 +68,7 @@ int main() {
   std::vector<i8> target(kOut, 0);
   target[0] = 24;
 
-  require(device.set_weight(user.seal(blob), kWBase) == DeviceStatus::kOk,
+  require(device.set_weight(sid, user.seal(blob), kWBase) == DeviceStatus::kOk,
           "SetWeight");
 
   auto ctr = [](u64 input_epoch, u64 fw) { return (input_epoch << 32) | fw; };
@@ -78,8 +79,9 @@ int main() {
     // Import the sample (every step re-imports: CTR_IN advances).
     const Bytes x_bytes(reinterpret_cast<const u8*>(x.data()),
                         reinterpret_cast<const u8*>(x.data()) + x.size());
-    require(device.set_input(user.seal(x_bytes), kXAddr) == DeviceStatus::kOk,
-            "SetInput");
+    require(
+        device.set_input(sid, user.seal(x_bytes), kXAddr) == DeviceStatus::kOk,
+        "SetInput");
     ++epoch;
 
     // Forward.
@@ -88,28 +90,28 @@ int main() {
     fc1.in_c = kIn; fc1.in_h = 1; fc1.in_w = 1;
     fc1.out_c = kHidden; fc1.requant_shift = kShift;
     fc1.input_addr = kXAddr; fc1.weight_addr = kWBase; fc1.output_addr = kF0;
-    device.set_read_ctr(kXAddr, 512, ctr(epoch, 0));
-    require(device.forward(fc1) == DeviceStatus::kOk, "fc1");
+    device.set_read_ctr(sid, kXAddr, 512, ctr(epoch, 0));
+    require(device.forward(sid, fc1) == DeviceStatus::kOk, "fc1");
 
     ForwardOp relu;
     relu.kind = ForwardOp::Kind::kRelu;
     relu.in_c = kHidden; relu.in_h = 1; relu.in_w = 1;
     relu.input_addr = kF0; relu.output_addr = kF1;
-    device.set_read_ctr(kF0, 512, ctr(epoch, 0));
-    require(device.forward(relu) == DeviceStatus::kOk, "relu");
+    device.set_read_ctr(sid, kF0, 512, ctr(epoch, 0));
+    require(device.forward(sid, relu) == DeviceStatus::kOk, "relu");
 
     ForwardOp fc2;
     fc2.kind = ForwardOp::Kind::kFc;
     fc2.in_c = kHidden; fc2.in_h = 1; fc2.in_w = 1;
     fc2.out_c = kOut; fc2.requant_shift = kShift;
     fc2.input_addr = kF1; fc2.weight_addr = kWBase + 512; fc2.output_addr = kF2;
-    device.set_read_ctr(kF1, 512, ctr(epoch, 1));
-    require(device.forward(fc2) == DeviceStatus::kOk, "fc2");
+    device.set_read_ctr(sid, kF1, 512, ctr(epoch, 1));
+    require(device.forward(sid, fc2) == DeviceStatus::kOk, "fc2");
 
     // User computes the loss gradient from exported logits.
-    device.set_read_ctr(kF2, 512, ctr(epoch, 2));
+    device.set_read_ctr(sid, kF2, 512, ctr(epoch, 2));
     crypto::SealedRecord sealed;
-    require(device.export_output(kF2, kOut, sealed) == DeviceStatus::kOk,
+    require(device.export_output(sid, kF2, kOut, sealed) == DeviceStatus::kOk,
             "export logits");
     const auto y = user.open_output(sealed);
     require(y.has_value(), "decrypt logits");
@@ -129,8 +131,9 @@ int main() {
     // Import dy and run the backward pass.
     const Bytes dy_bytes(reinterpret_cast<const u8*>(dy.data()),
                          reinterpret_cast<const u8*>(dy.data()) + dy.size());
-    require(device.set_input(user.seal(dy_bytes), kDy) == DeviceStatus::kOk,
-            "import dy");
+    require(
+        device.set_input(sid, user.seal(dy_bytes), kDy) == DeviceStatus::kOk,
+        "import dy");
     ++epoch;
 
     ForwardOp fc2_dx;
@@ -140,8 +143,8 @@ int main() {
     fc2_dx.requant_shift = kGradShift;
     fc2_dx.input_addr = kDy; fc2_dx.weight_addr = kWBase + 512;
     fc2_dx.output_addr = kDa1;
-    device.set_read_ctr(kDy, 512, ctr(epoch, 0));
-    require(device.forward(fc2_dx) == DeviceStatus::kOk, "fc2 dX");
+    device.set_read_ctr(sid, kDy, 512, ctr(epoch, 0));
+    require(device.forward(sid, fc2_dx) == DeviceStatus::kOk, "fc2 dX");
 
     ForwardOp relu_dx;
     relu_dx.kind = ForwardOp::Kind::kReluDx;
@@ -149,9 +152,9 @@ int main() {
     relu_dx.aux_c = kHidden; relu_dx.aux_h = 1; relu_dx.aux_w = 1;
     relu_dx.input_addr = kDa1; relu_dx.input2_addr = kF0;
     relu_dx.output_addr = kDh1;
-    device.set_read_ctr(kDa1, 512, ctr(epoch, 0));
-    device.set_read_ctr(kF0, 512, ctr(epoch - 1, 0));
-    require(device.forward(relu_dx) == DeviceStatus::kOk, "relu dX");
+    device.set_read_ctr(sid, kDa1, 512, ctr(epoch, 0));
+    device.set_read_ctr(sid, kF0, 512, ctr(epoch - 1, 0));
+    require(device.forward(sid, relu_dx) == DeviceStatus::kOk, "relu dX");
 
     ForwardOp fc2_dw;
     fc2_dw.kind = ForwardOp::Kind::kFcDw;
@@ -160,9 +163,9 @@ int main() {
     fc2_dw.requant_shift = kGradShift;
     fc2_dw.input_addr = kDy; fc2_dw.input2_addr = kF1;
     fc2_dw.output_addr = kGradBlob + 512;
-    device.set_read_ctr(kDy, 512, ctr(epoch, 0));
-    device.set_read_ctr(kF1, 512, ctr(epoch - 1, 1));
-    require(device.forward(fc2_dw) == DeviceStatus::kOk, "fc2 dW");
+    device.set_read_ctr(sid, kDy, 512, ctr(epoch, 0));
+    device.set_read_ctr(sid, kF1, 512, ctr(epoch - 1, 1));
+    require(device.forward(sid, fc2_dw) == DeviceStatus::kOk, "fc2 dW");
 
     ForwardOp fc1_dw;
     fc1_dw.kind = ForwardOp::Kind::kFcDw;
@@ -171,9 +174,9 @@ int main() {
     fc1_dw.requant_shift = kGradShift;
     fc1_dw.input_addr = kDh1; fc1_dw.input2_addr = kXAddr;
     fc1_dw.output_addr = kGradBlob;
-    device.set_read_ctr(kDh1, 512, ctr(epoch, 1));
-    device.set_read_ctr(kXAddr, 512, ctr(epoch - 1, 0));
-    require(device.forward(fc1_dw) == DeviceStatus::kOk, "fc1 dW");
+    device.set_read_ctr(sid, kDh1, 512, ctr(epoch, 1));
+    device.set_read_ctr(sid, kXAddr, 512, ctr(epoch - 1, 0));
+    require(device.forward(sid, fc1_dw) == DeviceStatus::kOk, "fc1 dW");
 
     // On-device SGD over the whole blob; CTR_W advances.
     ForwardOp update;
@@ -181,21 +184,22 @@ int main() {
     update.in_c = 1024; update.in_h = 1; update.in_w = 1;
     update.requant_shift = kLrShift;
     update.input_addr = kGradBlob; update.weight_addr = kWBase;
-    device.set_read_ctr(kGradBlob, 512, ctr(epoch, 3));
-    device.set_read_ctr(kGradBlob + 512, 512, ctr(epoch, 2));
-    require(device.forward(update) == DeviceStatus::kOk, "SGD update");
+    device.set_read_ctr(sid, kGradBlob, 512, ctr(epoch, 3));
+    device.set_read_ctr(sid, kGradBlob + 512, 512, ctr(epoch, 2));
+    require(device.forward(sid, update) == DeviceStatus::kOk, "SGD update");
   }
 
   // Retrieve the fine-tuned model.
-  device.set_read_ctr(kWBase, 1024, device.vn_generator().ctr_w());
+  device.set_read_ctr(sid, kWBase, 1024, device.vn_generator(sid).ctr_w());
   crypto::SealedRecord sealed;
-  require(device.export_output(kWBase, 1024, sealed) == DeviceStatus::kOk,
+  require(device.export_output(sid, kWBase, 1024, sealed) == DeviceStatus::kOk,
           "export model");
   const auto fine_tuned = user.open_output(sealed);
   require(fine_tuned.has_value(), "decrypt model");
 
   std::printf("\nCTR_W after training: %llu (1 import + 8 updates)\n",
-              static_cast<unsigned long long>(device.vn_generator().ctr_w()));
+              static_cast<unsigned long long>(
+                  device.vn_generator(sid).ctr_w()));
   std::printf("loss: %d -> %d (%s)\n", first_loss, last_loss,
               last_loss < first_loss ? "improved" : "no improvement");
   std::printf("fine-tuned model differs from initial: %s\n",

@@ -61,20 +61,21 @@ int main() {
 
   // --- Compile, import, execute, export -----------------------------------
   const host::ExecutionPlan plan = host::HostScheduler::compile(net);
-  host::HostScheduler scheduler(device);
+  const accel::SessionId sid = user.session_id();
+  host::HostScheduler scheduler(device, sid);
 
-  if (device.set_weight(user.seal(plan.weight_blob), plan.weight_base) !=
+  if (device.set_weight(sid, user.seal(plan.weight_blob), plan.weight_base) !=
       accel::DeviceStatus::kOk)
     return 1;
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  if (device.set_input(user.seal(input_bytes), plan.input_addr) !=
+  if (device.set_input(sid, user.seal(input_bytes), plan.input_addr) !=
       accel::DeviceStatus::kOk)
     return 1;
   scheduler.note_input();
   if (scheduler.execute(plan) != accel::DeviceStatus::kOk) return 1;
 
   crypto::SealedRecord sealed;
-  if (device.export_output(plan.output_addr, plan.output_bytes, sealed) !=
+  if (device.export_output(sid, plan.output_addr, plan.output_bytes, sealed) !=
       accel::DeviceStatus::kOk)
     return 1;
   const auto output = user.open_output(sealed);

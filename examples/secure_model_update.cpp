@@ -66,11 +66,12 @@ int main() {
   accel::GuardNnDevice device("guardnn-update-demo", manufacturer, dram,
                               Bytes{0x32});
   host::RemoteUser user(manufacturer.public_key(), Bytes{0x33});
-  host::HostScheduler scheduler(device);
 
   if (!user.attest_device(device.get_pk())) return 1;
   if (!user.complete_session(device.init_session(user.begin_session(), true)))
     return 1;
+  const accel::SessionId sid = user.session_id();
+  host::HostScheduler scheduler(device, sid);
 
   // Network: on-device 2x downscale preprocessing (as matmul), then a conv
   // classifier over the 8x8 result.
@@ -95,16 +96,16 @@ int main() {
     v = static_cast<i8>(static_cast<int>(rng.next_below(256)) - 128);
   const Bytes image_bytes(image.bytes().begin(), image.bytes().end());
 
-  if (device.set_weight(user.seal(plan.weight_blob), plan.weight_base) !=
+  if (device.set_weight(sid, user.seal(plan.weight_blob), plan.weight_base) !=
       accel::DeviceStatus::kOk)
     return 1;
-  if (device.set_input(user.seal(image_bytes), plan.input_addr) !=
+  if (device.set_input(sid, user.seal(image_bytes), plan.input_addr) !=
       accel::DeviceStatus::kOk)
     return 1;
   scheduler.note_input();
   if (scheduler.execute(plan) != accel::DeviceStatus::kOk) return 1;
   crypto::SealedRecord sealed;
-  if (device.export_output(plan.output_addr, plan.output_bytes, sealed) !=
+  if (device.export_output(sid, plan.output_addr, plan.output_bytes, sealed) !=
       accel::DeviceStatus::kOk)
     return 1;
   const auto v1 = user.open_output(sealed);
@@ -122,19 +123,20 @@ int main() {
   host::FuncNetwork net_v2 = net;
   net_v2.layers[2].weights = random_bytes(rng, 10 * 64);
   const host::ExecutionPlan plan_v2 = host::HostScheduler::compile(net_v2);
-  if (device.set_weight(user.seal(plan_v2.weight_blob), plan_v2.weight_base) !=
-      accel::DeviceStatus::kOk)
+  if (device.set_weight(sid, user.seal(plan_v2.weight_blob),
+                        plan_v2.weight_base) != accel::DeviceStatus::kOk)
     return 1;
   std::printf("[v2] model updated (CTR_W is now %llu)\n",
-              static_cast<unsigned long long>(device.vn_generator().ctr_w()));
+              static_cast<unsigned long long>(
+                  device.vn_generator(sid).ctr_w()));
 
-  if (device.set_input(user.seal(image_bytes), plan_v2.input_addr) !=
+  if (device.set_input(sid, user.seal(image_bytes), plan_v2.input_addr) !=
       accel::DeviceStatus::kOk)
     return 1;
   scheduler.note_input();
   if (scheduler.execute(plan_v2) != accel::DeviceStatus::kOk) return 1;
-  if (device.export_output(plan_v2.output_addr, plan_v2.output_bytes, sealed) !=
-      accel::DeviceStatus::kOk)
+  if (device.export_output(sid, plan_v2.output_addr, plan_v2.output_bytes,
+                           sealed) != accel::DeviceStatus::kOk)
     return 1;
   const auto v2 = user.open_output(sealed);
   if (!v2) return 1;
@@ -145,7 +147,7 @@ int main() {
   // --- Rollback attack: restore the old model's ciphertext + MACs ---------
   dram.write(plan.weight_base, old_cipher);
   dram.write(mac_base, old_macs);
-  if (device.set_input(user.seal(image_bytes), plan_v2.input_addr) !=
+  if (device.set_input(sid, user.seal(image_bytes), plan_v2.input_addr) !=
       accel::DeviceStatus::kOk)
     return 1;
   scheduler.note_input();

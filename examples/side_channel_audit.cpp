@@ -51,11 +51,12 @@ AuditResult run_once(const host::FuncNetwork& net, u64 input_seed) {
   crypto::ManufacturerCa manufacturer(ca_entropy);
   accel::GuardNnDevice device("audit-dev", manufacturer, dram, Bytes{0x22});
   host::RemoteUser user(manufacturer.public_key(), Bytes{0x23});
-  host::HostScheduler scheduler(device);
 
   if (!user.attest_device(device.get_pk())) std::abort();
   if (!user.complete_session(device.init_session(user.begin_session(), true)))
     std::abort();
+  const accel::SessionId sid = user.session_id();
+  host::HostScheduler scheduler(device, sid);
 
   const host::ExecutionPlan plan = host::HostScheduler::compile(net);
   functional::Tensor input(net.in_c, net.in_h, net.in_w);
@@ -64,22 +65,22 @@ AuditResult run_once(const host::FuncNetwork& net, u64 input_seed) {
     v = static_cast<i8>(static_cast<int>(rng.next_below(256)) - 128);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
 
-  if (device.set_weight(user.seal(plan.weight_blob), plan.weight_base) !=
+  if (device.set_weight(sid, user.seal(plan.weight_blob), plan.weight_base) !=
       accel::DeviceStatus::kOk)
     std::abort();
-  if (device.set_input(user.seal(input_bytes), plan.input_addr) !=
+  if (device.set_input(sid, user.seal(input_bytes), plan.input_addr) !=
       accel::DeviceStatus::kOk)
     std::abort();
   scheduler.note_input();
   if (scheduler.execute(plan) != accel::DeviceStatus::kOk) std::abort();
   crypto::SealedRecord sealed;
-  if (device.export_output(plan.output_addr, plan.output_bytes, sealed) !=
+  if (device.export_output(sid, plan.output_addr, plan.output_bytes, sealed) !=
       accel::DeviceStatus::kOk)
     std::abort();
 
   // Hash the (address, read/write) trace the adversary could observe.
   crypto::Sha256 hasher;
-  for (const auto& [addr, is_write] : device.access_trace()) {
+  for (const auto& [addr, is_write] : device.access_trace(sid)) {
     u8 rec[9];
     store_be64(rec, addr);
     rec[8] = is_write ? 1 : 0;
@@ -87,7 +88,7 @@ AuditResult run_once(const host::FuncNetwork& net, u64 input_seed) {
   }
   AuditResult result;
   result.trace_hash = hasher.finalize();
-  result.trace_len = device.access_trace().size();
+  result.trace_len = device.access_trace(sid).size();
   result.latency_ms = device.elapsed_ms();
   return result;
 }

@@ -110,43 +110,18 @@ def crypto_throughput():
             out[key] = backend
     return out
 
-# Structured results pulled out of ##GUARDNN_BENCH_JSON## marker lines. A
-# binary may emit several markers (bench_serving_throughput emits both the
-# closed-loop sweep and the sustained open-loop block), so selection matches
-# on the embedded "bench" field, not just the first marker found.
-def marker_json(bench_name, marker=None):
+# Structured results pulled out of a bench's ##GUARDNN_BENCH_JSON## marker
+# line (the first one in its stdout).
+def marker_json(bench_name):
     entry = benches.get(bench_name, {})
     for line in entry.get("stdout", "").splitlines():
         if not line.startswith("##GUARDNN_BENCH_JSON## "):
             continue
         try:
-            parsed = json.loads(line.split(" ", 1)[1])
+            return json.loads(line.split(" ", 1)[1])
         except json.JSONDecodeError:
             continue
-        if marker is None or parsed.get("bench") == marker:
-            return parsed
     return None
-
-# Closed-loop serving sweep (req/s, p50/p99 ms per workers x devices config,
-# plus the multi-worker speedup the acceptance gate tracks).
-def serving_throughput():
-    return marker_json("bench_serving_throughput", "serving_throughput")
-
-# Sustained open-loop serving: Poisson arrivals below and far above fleet
-# capacity — saturation req/s, p50/p99/p999 sojourn, admission rejections and
-# per-tenant fairness spread under overload.
-def serving_sustained():
-    return marker_json("bench_serving_throughput", "serving_sustained")
-
-# Chaos mode: one device of four killed fail-stop mid-run — recovery time,
-# p99 before/after the kill, admission-budget rescale, zero-hangs gate.
-def serving_chaos():
-    return marker_json("bench_serving_throughput", "serving_chaos")
-
-# Migration storm: live tenant moves under load — server/client blackout
-# percentiles, bystander p99 baseline vs storm, zero-lost-futures gate.
-def serving_migration():
-    return marker_json("bench_serving_throughput", "serving_migration")
 
 # Sealed model store: SealModel/UnsealModel GB/s (steady + cold through the
 # fused pipeline) and cross-device replication latency (p50/p99 of the
@@ -185,10 +160,6 @@ doc = {
     "bench_count": len(benches),
     "failed": sorted(n for n, e in benches.items() if e["exit_code"] != 0),
     "crypto_throughput_gbps": crypto_throughput(),
-    "serving_throughput": serving_throughput(),
-    "serving_sustained": serving_sustained(),
-    "serving_chaos": serving_chaos(),
-    "serving_migration": serving_migration(),
     "model_store": model_store(),
     "benches": benches,
 }

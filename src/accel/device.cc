@@ -198,7 +198,6 @@ InitSessionResponse GuardNnDevice::init_session(
   slot.session->chain.reset();
 
   const SessionId sid = make_id(slot_index, slot.generation);
-  current_session_.store(sid, std::memory_order_relaxed);
 
   // Sign (user share || device share) with the certified identity key.
   Bytes transcript = crypto::encode_point(user_ephemeral);
@@ -948,7 +947,6 @@ DeviceStatus GuardNnDevice::reset() {
                 sizeof(pending_provision_->private_key.limb));
     pending_provision_.reset();
   }
-  current_session_.store(kInvalidSession, std::memory_order_relaxed);
   verified_blobs_.clear();
   generation_ += 1;
   return DeviceStatus::kOk;
@@ -970,12 +968,6 @@ std::size_t GuardNnDevice::session_count() const {
   for (const Slot& slot : slots_)
     if (slot.active) ++n;
   return n;
-}
-
-bool GuardNnDevice::integrity_enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Session* s = find_session(current_session());
-  return s && s->mpu.integrity_enabled();
 }
 
 const memprot::VnGenerator& GuardNnDevice::vn_generator(SessionId sid) const {

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -267,36 +266,10 @@ class GuardNnDevice {
   /// reset is never replayed onto the device after one.
   u64 device_generation() const;
 
-  // --- Single-session convenience ------------------------------------------
-  // Legacy entry points for single-tenant callers (examples, benches, the
-  // original protocol tests): they route to the most recently opened
-  // session. Multi-tenant code must use the SessionId forms above.
-
-  DeviceStatus set_weight(const crypto::SealedRecord& record, u64 weight_addr) {
-    return set_weight(current_session(), record, weight_addr);
-  }
-  DeviceStatus set_input(const crypto::SealedRecord& record, u64 input_addr) {
-    return set_input(current_session(), record, input_addr);
-  }
-  DeviceStatus set_read_ctr(u64 base, u64 bytes, u64 vn) {
-    return set_read_ctr(current_session(), base, bytes, vn);
-  }
-  DeviceStatus forward(const ForwardOp& op) {
-    return forward(current_session(), op);
-  }
-  DeviceStatus export_output(u64 addr, u64 bytes, crypto::SealedRecord& out) {
-    return export_output(current_session(), addr, bytes, out);
-  }
-  DeviceStatus sign_output(SignOutputResponse& out) {
-    return sign_output(current_session(), out);
-  }
-
   // --- Introspection (trusted-side test hooks) -----------------------------
 
-  bool session_active() const { return session_active(current_session()); }
   bool session_active(SessionId sid) const;
   std::size_t session_count() const;
-  bool integrity_enabled() const;
 
   /// Base physical address of a session's DRAM partition (derived from the
   /// slot index encoded in the id; valid for closed ids too).
@@ -304,21 +277,9 @@ class GuardNnDevice {
     return (sid & 0xff) * kSessionDramBytes;
   }
 
-  /// The current (most recently opened) session's id; kInvalidSession when
-  /// none was ever opened.
-  SessionId current_session() const {
-    return current_session_.load(std::memory_order_relaxed);
-  }
-
-  const memprot::VnGenerator& vn_generator() const {
-    return vn_generator(current_session());
-  }
   const memprot::VnGenerator& vn_generator(SessionId sid) const;
   double elapsed_ms() const { return latency_.total_ms(); }
   /// Memory access trace of a session (the observable side channel).
-  const std::vector<std::pair<u64, bool>>& access_trace() const {
-    return access_trace(current_session());
-  }
   const std::vector<std::pair<u64, bool>>& access_trace(SessionId sid) const;
 
   /// Key-zeroization check: true when the slot holds no key material — the
@@ -457,9 +418,6 @@ class GuardNnDevice {
   /// this right after construction (see InitSession).
   MpuByteCounters mpu_counters_;
   std::array<Slot, kMaxSessions> slots_;
-  /// Atomic so the lock-free legacy wrappers can read it while InitSession
-  /// publishes a new id under mu_ (the id is validated under the lock anyway).
-  std::atomic<SessionId> current_session_{kInvalidSession};
   /// One instruction executes at a time, like the hardware command queue.
   mutable std::mutex mu_;
 };

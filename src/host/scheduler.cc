@@ -133,12 +133,8 @@ ExecutionPlan HostScheduler::compile(const FuncNetwork& net) {
 }
 
 accel::DeviceStatus HostScheduler::execute(const ExecutionPlan& plan) {
-  // Bound schedulers issue session-addressed instructions; unbound ones use
-  // the device's single-tenant convenience entry points.
   auto set_read_ctr = [&](u64 base, u64 bytes, u64 vn) {
-    return session_ != accel::kInvalidSession
-               ? device_.set_read_ctr(session_, base, bytes, vn)
-               : device_.set_read_ctr(base, bytes, vn);
+    return device_.set_read_ctr(session_, base, bytes, vn);
   };
   for (std::size_t i = 0; i < plan.ops.size(); ++i) {
     const accel::ForwardOp& op = plan.ops[i];
@@ -158,8 +154,7 @@ accel::DeviceStatus HostScheduler::execute(const ExecutionPlan& plan) {
       status = set_read_ctr(op.input2_addr, in_bytes, vn);
       if (status != accel::DeviceStatus::kOk) return status;
     }
-    status = session_ != accel::kInvalidSession ? device_.forward(session_, op)
-                                                : device_.forward(op);
+    status = device_.forward(session_, op);
     if (status != accel::DeviceStatus::kOk) return status;
   }
   // Arm the read counter for ExportOutput.

@@ -53,15 +53,10 @@ struct ExecutionPlan {
 
 class HostScheduler {
  public:
-  explicit HostScheduler(accel::GuardNnDevice& device) : device_(device) {}
-  /// Multi-tenant form: drive one specific session-table entry. The serving
-  /// layer keeps one scheduler per tenant.
+  /// Drives one session-table entry. The serving layer keeps one scheduler
+  /// per tenant.
   HostScheduler(accel::GuardNnDevice& device, accel::SessionId session)
       : device_(device), session_(session) {}
-
-  /// (Re)binds the scheduler to a session (e.g. after re-InitSession).
-  void bind_session(accel::SessionId session) { session_ = session; }
-  accel::SessionId session() const { return session_; }
 
   /// Compiles the network into an address plan + instruction stream.
   static ExecutionPlan compile(const FuncNetwork& net);
@@ -90,9 +85,7 @@ class HostScheduler {
 
  private:
   accel::GuardNnDevice& device_;
-  /// Session this scheduler drives; kInvalidSession = the device's current
-  /// (single-tenant) session.
-  accel::SessionId session_ = accel::kInvalidSession;
+  accel::SessionId session_;
   u64 ctr_in_mirror_ = 0;
 };
 

@@ -3,9 +3,9 @@
 // A trace id is minted at InferenceServer::submit_async and rides inside the
 // queued Request through admission → shard queue → worker batch → device call
 // → crypto seal/unseal → promise resolution. Each stage appends one fixed-
-// size SpanRecord to a ring buffer; an external reader (telemetry export, the
-// chaos bench's span-chain check) reconstructs per-request chains by trace
-// id.
+// size SpanRecord to a ring buffer; an external reader (telemetry export,
+// examples/fleet_dashboard's span-chain audit) reconstructs per-request
+// chains by trace id.
 //
 // Cost discipline, mirroring FaultInjector:
 //   * disabled (the default): begin_trace() is ONE relaxed atomic load and

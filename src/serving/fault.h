@@ -33,9 +33,9 @@
 //
 // Faults are scripted per device (deterministic counters: "the next N
 // data-plane calls fail") or probabilistic (seeded xoshiro per device, for
-// chaos benches and the deep-fuzz job). The no-fault fast path is one relaxed
-// atomic load per call — cheap enough to leave compiled into production
-// builds.
+// the serving fault fuzz and the deep-fuzz job). The no-fault fast path is
+// one relaxed atomic load per call — cheap enough to leave compiled into
+// production builds.
 //
 // Env knobs (read by arm_from_env, used by the fuzz/chaos jobs):
 //   GUARDNN_FAULT_SEED   seed for probabilistic faults (decimal or 0x hex)
@@ -92,7 +92,7 @@ class FaultInjector {
 
   explicit FaultInjector(std::size_t num_devices);
 
-  // --- Scripted faults (tests, benches, admin tooling) ---------------------
+  // --- Scripted faults (tests, examples, admin tooling) --------------------
 
   /// Fail-stop death, effective immediately.
   void kill(std::size_t device);

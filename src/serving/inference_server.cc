@@ -1204,17 +1204,25 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
   Shard& shard = table_.shard_for(tenant->id);
   std::vector<Request> batch;
   std::shared_ptr<const host::ExecutionPlan> plan;
-  bool open;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    open = tenant->open;
+    std::unique_lock<std::mutex> lock(shard.mu);
+    if (!tenant->open) {
+      // Torn down while we sat in the ready queue. teardown_outcome says
+      // why: kNoTenant (disconnect/eviction/reset) or kDeviceFailover (the
+      // health monitor failed the tenant over). Nothing executes, so the
+      // whole FIFO resolves without counting as processed.
+      std::deque<Request> orphaned;
+      orphaned.swap(tenant->pending);
+      const RequestOutcome outcome = tenant->teardown_outcome;
+      tenant->scheduled = false;
+      lock.unlock();
+      drain(orphaned, outcome);
+      return;
+    }
     // Cross-tenant batching: drain up to kMaxBatch of this tenant's FIFO in
     // one wakeup. The tenant stays "scheduled" (owned by this worker) so no
-    // other worker can reorder its secure-channel sequence numbers. A
-    // torn-down tenant (disconnect/reset while we sat in the ready queue)
-    // is drained whole — every promise resolves kNoTenant below.
-    const std::size_t limit = open ? kMaxBatch : tenant->pending.size();
-    while (!tenant->pending.empty() && batch.size() < limit) {
+    // other worker can reorder its secure-channel sequence numbers.
+    while (!tenant->pending.empty() && batch.size() < kMaxBatch) {
       batch.push_back(std::move(tenant->pending.front()));
       tenant->pending.pop_front();
     }
@@ -1230,26 +1238,6 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
     ins_.requests.inc(batch.size());
     ins_.batch_size.record(static_cast<double>(batch.size()));
     if (tenant->requests_counter) tenant->requests_counter->inc(batch.size());
-  }
-
-  if (!open) {
-    // Torn down while we sat in the ready queue. teardown_outcome says why:
-    // kNoTenant (disconnect/eviction/reset) or kDeviceFailover (the health
-    // monitor failed the tenant over) — either way every promise resolves.
-    RequestOutcome outcome;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      outcome = tenant->teardown_outcome;
-      tenant->scheduled = false;
-    }
-    for (Request& request : batch) {
-      InferenceResult result;
-      result.outcome = outcome;
-      if (outcome == RequestOutcome::kDeviceFailover)
-        result.device_status = accel::DeviceStatus::kUnavailable;
-      resolve_one(request, std::move(result));
-    }
-    return;
   }
 
   const Clock::time_point picked_up = Clock::now();

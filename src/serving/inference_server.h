@@ -34,9 +34,9 @@
 //   * optional device-latency emulation: the functional model computes on
 //     the CPU in microseconds, but the modeled accelerator/MicroBlaze time
 //     (LatencyAccumulator) is the *hardware* time — emulation sleeps it off
-//     while holding the device lock, so benches measure serving-layer
-//     scheduling against realistic device occupancy instead of simulation
-//     CPU time;
+//     while holding the device lock, so the serving tests and
+//     examples/fleet_dashboard exercise scheduling against realistic device
+//     occupancy instead of simulation CPU time (fleetbench runs with it off);
 //   * a fault-tolerance layer (fault.h + the health monitor below): every
 //     device call crosses a FaultInjector gate (control-plane commands through
 //     the one device_call seam), per-device health degrades on consecutive
@@ -103,7 +103,8 @@ struct ServerConfig {
   /// soft signal, distinct from kQueueFull.
   std::size_t max_pending_bytes = 0;
   /// Sleep off the modeled device time while holding the device lock (see
-  /// file header). OFF for tests; benches turn it on.
+  /// file header). OFF by default; the serving tests that need realistic
+  /// device occupancy and examples/fleet_dashboard turn it on.
   bool emulate_device_latency = false;
   /// Scales the modeled device time when emulating.
   double device_latency_scale = 1.0;
@@ -458,8 +459,9 @@ class InferenceServer {
 
   // --- Fault tolerance / health --------------------------------------------
 
-  /// The fault-injection boundary in front of every device (tests, chaos
-  /// benches and the deep-fuzz job script faults through it; see fault.h).
+  /// The fault-injection boundary in front of every device (tests,
+  /// examples/fleet_dashboard and the deep-fuzz job script faults through
+  /// it; see fault.h).
   FaultInjector& faults() { return faults_; }
 
   DeviceHealth device_health(std::size_t index) const {

@@ -318,12 +318,15 @@ struct Fixture {
   crypto::HmacDrbg ca_drbg{Bytes{1, 2, 3}};
   crypto::ManufacturerCa ca{ca_drbg};
   GuardNnDevice device{"dev-0", ca, memory, Bytes{4, 5, 6}};
+  /// The session the last handshake opened.
+  SessionId sid = kInvalidSession;
 };
 
 crypto::SessionKeys handshake(Fixture& fx, bool integrity,
                               crypto::HmacDrbg& user_drbg) {
   const crypto::EcdhKeyPair user = crypto::ecdh_generate_key(user_drbg);
   const InitSessionResponse resp = fx.device.init_session(user.public_key, integrity);
+  fx.sid = resp.session_id;
   const crypto::U256 shared =
       crypto::ecdh_shared_secret(user.private_key, resp.device_ephemeral);
   return crypto::derive_session_keys(shared, user.public_key, resp.device_ephemeral);
@@ -340,15 +343,17 @@ TEST(Device, GetPkReturnsValidCertificate) {
 TEST(Device, InstructionsRequireSession) {
   Fixture fx;
   crypto::SealedRecord record;
-  EXPECT_EQ(fx.device.set_weight(record, 0), DeviceStatus::kNoSession);
-  EXPECT_EQ(fx.device.set_input(record, 0), DeviceStatus::kNoSession);
-  EXPECT_EQ(fx.device.set_read_ctr(0, 64, 0), DeviceStatus::kNoSession);
+  EXPECT_EQ(fx.device.set_weight(kInvalidSession, record, 0), DeviceStatus::kNoSession);
+  EXPECT_EQ(fx.device.set_input(kInvalidSession, record, 0), DeviceStatus::kNoSession);
+  EXPECT_EQ(fx.device.set_read_ctr(kInvalidSession, 0, 64, 0),
+            DeviceStatus::kNoSession);
   ForwardOp op;
-  EXPECT_EQ(fx.device.forward(op), DeviceStatus::kNoSession);
+  EXPECT_EQ(fx.device.forward(kInvalidSession, op), DeviceStatus::kNoSession);
   crypto::SealedRecord out;
-  EXPECT_EQ(fx.device.export_output(0, 64, out), DeviceStatus::kNoSession);
+  EXPECT_EQ(fx.device.export_output(kInvalidSession, 0, 64, out),
+            DeviceStatus::kNoSession);
   SignOutputResponse sign;
-  EXPECT_EQ(fx.device.sign_output(sign), DeviceStatus::kNoSession);
+  EXPECT_EQ(fx.device.sign_output(kInvalidSession, sign), DeviceStatus::kNoSession);
 }
 
 TEST(Device, KeyExchangeSignatureVerifies) {
@@ -372,7 +377,8 @@ TEST(Device, ImportStoresCiphertextOnly) {
   Bytes weights(1024);
   Xoshiro256 rng(4);
   rng.fill(weights);
-  ASSERT_EQ(fx.device.set_weight(to_device.seal(weights), 0), DeviceStatus::kOk);
+  ASSERT_EQ(fx.device.set_weight(fx.sid, to_device.seal(weights), 0),
+            DeviceStatus::kOk);
 
   // Scan all of untrusted memory for the plaintext — it must not be there.
   const Bytes stored = fx.memory.read(0, 2048);
@@ -388,7 +394,7 @@ TEST(Device, RejectsForgedRecords) {
   crypto::ChannelSender to_device(keys);
   crypto::SealedRecord record = to_device.seal(Bytes(512, 1));
   record.ciphertext[0] ^= 1;
-  EXPECT_EQ(fx.device.set_weight(record, 0), DeviceStatus::kBadRecord);
+  EXPECT_EQ(fx.device.set_weight(fx.sid, record, 0), DeviceStatus::kBadRecord);
 }
 
 TEST(Device, RejectsReplayedRecords) {
@@ -397,8 +403,8 @@ TEST(Device, RejectsReplayedRecords) {
   const crypto::SessionKeys keys = handshake(fx, false, user_drbg);
   crypto::ChannelSender to_device(keys);
   const crypto::SealedRecord record = to_device.seal(Bytes(512, 1));
-  ASSERT_EQ(fx.device.set_weight(record, 0), DeviceStatus::kOk);
-  EXPECT_EQ(fx.device.set_weight(record, 512), DeviceStatus::kBadRecord);
+  ASSERT_EQ(fx.device.set_weight(fx.sid, record, 0), DeviceStatus::kOk);
+  EXPECT_EQ(fx.device.set_weight(fx.sid, record, 512), DeviceStatus::kBadRecord);
 }
 
 TEST(Device, CountersFollowInstructions) {
@@ -406,12 +412,13 @@ TEST(Device, CountersFollowInstructions) {
   crypto::HmacDrbg user_drbg(Bytes{11});
   const crypto::SessionKeys keys = handshake(fx, false, user_drbg);
   crypto::ChannelSender to_device(keys);
-  ASSERT_EQ(fx.device.set_weight(to_device.seal(Bytes(512, 1)), 0), DeviceStatus::kOk);
-  EXPECT_EQ(fx.device.vn_generator().ctr_w(), 1u);
-  ASSERT_EQ(fx.device.set_input(to_device.seal(Bytes(512, 2)), 0x4000'0000),
+  ASSERT_EQ(fx.device.set_weight(fx.sid, to_device.seal(Bytes(512, 1)), 0),
             DeviceStatus::kOk);
-  EXPECT_EQ(fx.device.vn_generator().ctr_in(), 1u);
-  EXPECT_EQ(fx.device.vn_generator().ctr_fw(), 0u);
+  EXPECT_EQ(fx.device.vn_generator(fx.sid).ctr_w(), 1u);
+  ASSERT_EQ(fx.device.set_input(fx.sid, to_device.seal(Bytes(512, 2)), 0x4000'0000),
+            DeviceStatus::kOk);
+  EXPECT_EQ(fx.device.vn_generator(fx.sid).ctr_in(), 1u);
+  EXPECT_EQ(fx.device.vn_generator(fx.sid).ctr_fw(), 0u);
 }
 
 TEST(Device, InitSessionResetsState) {
@@ -419,12 +426,13 @@ TEST(Device, InitSessionResetsState) {
   crypto::HmacDrbg user_drbg(Bytes{12});
   crypto::SessionKeys keys = handshake(fx, false, user_drbg);
   crypto::ChannelSender to_device(keys);
-  ASSERT_EQ(fx.device.set_weight(to_device.seal(Bytes(512, 1)), 0), DeviceStatus::kOk);
-  EXPECT_EQ(fx.device.vn_generator().ctr_w(), 1u);
+  ASSERT_EQ(fx.device.set_weight(fx.sid, to_device.seal(Bytes(512, 1)), 0),
+            DeviceStatus::kOk);
+  EXPECT_EQ(fx.device.vn_generator(fx.sid).ctr_w(), 1u);
   // New session: counters return to zero and old channel keys are invalid.
   keys = handshake(fx, false, user_drbg);
-  EXPECT_EQ(fx.device.vn_generator().ctr_w(), 0u);
-  EXPECT_EQ(fx.device.set_weight(to_device.seal(Bytes(512, 1)), 0),
+  EXPECT_EQ(fx.device.vn_generator(fx.sid).ctr_w(), 0u);
+  EXPECT_EQ(fx.device.set_weight(fx.sid, to_device.seal(Bytes(512, 1)), 0),
             DeviceStatus::kBadRecord);
 }
 

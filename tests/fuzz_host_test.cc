@@ -54,10 +54,11 @@ struct FuzzBench {
     secret_input.resize(512);
     rng.fill(secret_weights);
     rng.fill(secret_input);
-    if (device.set_weight(user.seal(secret_weights), 0) != DeviceStatus::kOk)
-      return false;
-    if (device.set_input(user.seal(secret_input), 0x4000'0000ULL) !=
+    if (device.set_weight(user.session_id(), user.seal(secret_weights), 0) !=
         DeviceStatus::kOk)
+      return false;
+    if (device.set_input(user.session_id(), user.seal(secret_input),
+                         0x4000'0000ULL) != DeviceStatus::kOk)
       return false;
     return true;
   }
@@ -113,26 +114,28 @@ TEST_P(InstructionFuzzTest, RandomSequencesNeverLeakPlaintext) {
   // which is the worst case for leakage.
   ASSERT_TRUE(bench.setup(/*integrity=*/false));
   Xoshiro256 rng(GetParam());
+  const accel::SessionId sid = bench.user.session_id();
 
   const int steps = fuzz_steps();
   for (int step = 0; step < steps; ++step) {
     switch (rng.next_below(5)) {
       case 0: {
         // Random (often nonsensical) forward/backward instruction.
-        (void)bench.device.forward(random_op(rng));
+        (void)bench.device.forward(sid, random_op(rng));
         break;
       }
       case 1: {
         // Arbitrary read-counter manipulation.
-        (void)bench.device.set_read_ctr(rng.next() % (1ULL << 36), rng.next_below(1 << 16),
-                                        rng.next());
+        (void)bench.device.set_read_ctr(sid, rng.next() % (1ULL << 36),
+                                        rng.next_below(1 << 16), rng.next());
         break;
       }
       case 2: {
         // Export from an arbitrary address: output is sealed to the session
         // user; ciphertext in DRAM stays ciphertext.
         crypto::SealedRecord sealed;
-        (void)bench.device.export_output((rng.next() % (1ULL << 34)) & ~511ULL,
+        (void)bench.device.export_output(sid,
+                                         (rng.next() % (1ULL << 34)) & ~511ULL,
                                          64 + rng.next_below(512), sealed);
         break;
       }
@@ -143,7 +146,8 @@ TEST_P(InstructionFuzzTest, RandomSequencesNeverLeakPlaintext) {
         forged.ciphertext.resize(64 + rng.next_below(256));
         rng.fill(forged.ciphertext);
         rng.fill(MutBytesView(forged.tag.data(), forged.tag.size()));
-        (void)bench.device.set_weight(forged, (rng.next() % (1ULL << 30)) & ~511ULL);
+        (void)bench.device.set_weight(sid, forged,
+                                      (rng.next() % (1ULL << 30)) & ~511ULL);
         break;
       }
       case 4: {
@@ -174,7 +178,8 @@ TEST(SessionIsolation, NewSessionCannotDecryptOldData) {
   const accel::InitSessionResponse second =
       bench.device.init_session(bench.user.begin_session(), false);
   ASSERT_TRUE(bench.user.complete_session(second));
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(bench.secret_weights), 0),
+  ASSERT_EQ(bench.device.set_weight(second.session_id,
+                                    bench.user.seal(bench.secret_weights), 0),
             DeviceStatus::kOk);
   const Bytes session2_cipher = bench.memory.read(
       accel::GuardNnDevice::partition_base(second.session_id), 512);
@@ -190,7 +195,8 @@ TEST(SessionIsolation, InstructionsAcrossSessionsDontCompose) {
   const crypto::SealedRecord old_record = bench.user.seal(Bytes(512, 0x42));
   ASSERT_TRUE(bench.user.complete_session(
       bench.device.init_session(bench.user.begin_session(), false)));
-  EXPECT_EQ(bench.device.set_weight(old_record, 0), DeviceStatus::kBadRecord);
+  EXPECT_EQ(bench.device.set_weight(bench.user.session_id(), old_record, 0),
+            DeviceStatus::kBadRecord);
 }
 
 // --- Session-id fuzzing ------------------------------------------------------

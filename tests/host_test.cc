@@ -54,34 +54,39 @@ struct TestBench {
   crypto::ManufacturerCa ca{ca_drbg};
   accel::GuardNnDevice device{"guardnn-0001", ca, memory, Bytes{0x0d}};
   RemoteUser user{ca.public_key(), Bytes{0x05}};
-  HostScheduler scheduler{device};
+  /// Bound to the session establish() opens.
+  std::optional<HostScheduler> scheduler;
 
   /// Runs GetPK -> InitSession with certificate + signature verification.
   [[nodiscard]] bool establish(bool integrity) {
     if (!user.attest_device(device.get_pk())) return false;
     const crypto::AffinePoint share = user.begin_session();
-    return user.complete_session(device.init_session(share, integrity));
+    if (!user.complete_session(device.init_session(share, integrity)))
+      return false;
+    scheduler.emplace(device, user.session_id());
+    return true;
   }
 
   /// Full encrypted inference; returns the decrypted output.
   std::optional<Bytes> run(const FuncNetwork& net, const functional::Tensor& input,
                            bool integrity, bool attest = true) {
     if (!establish(integrity)) return std::nullopt;
+    const accel::SessionId sid = user.session_id();
     const ExecutionPlan plan = HostScheduler::compile(net);
 
-    if (device.set_weight(user.seal(plan.weight_blob), plan.weight_base) !=
+    if (device.set_weight(sid, user.seal(plan.weight_blob), plan.weight_base) !=
         DeviceStatus::kOk)
       return std::nullopt;
     const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-    if (device.set_input(user.seal(input_bytes), plan.input_addr) !=
+    if (device.set_input(sid, user.seal(input_bytes), plan.input_addr) !=
         DeviceStatus::kOk)
       return std::nullopt;
-    scheduler.note_input();
-    if (scheduler.execute(plan) != DeviceStatus::kOk) return std::nullopt;
+    scheduler->note_input();
+    if (scheduler->execute(plan) != DeviceStatus::kOk) return std::nullopt;
 
     crypto::SealedRecord sealed;
-    if (device.export_output(plan.output_addr, plan.output_bytes, sealed) !=
-        DeviceStatus::kOk)
+    if (device.export_output(sid, plan.output_addr, plan.output_bytes,
+                             sealed) != DeviceStatus::kOk)
       return std::nullopt;
     auto output = user.open_output(sealed);
     if (!output) return std::nullopt;
@@ -92,7 +97,8 @@ struct TestBench {
       user.expect_output(*output);
       mirror_attestation(user, plan);
       accel::SignOutputResponse report;
-      if (device.sign_output(report) != DeviceStatus::kOk) return std::nullopt;
+      if (device.sign_output(sid, report) != DeviceStatus::kOk)
+        return std::nullopt;
       if (!user.verify_attestation(report)) return std::nullopt;
     }
     return output;
@@ -143,20 +149,23 @@ TEST(EndToEnd, MultipleInputsSameSession) {
   const FuncNetwork net = small_cnn();
   TestBench bench;
   ASSERT_TRUE(bench.establish(true));
+  const accel::SessionId sid = bench.user.session_id();
   const ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
 
   for (u64 trial = 0; trial < 3; ++trial) {
     const functional::Tensor input = random_input(net, 100 + trial);
     const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-    ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+    ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                     plan.input_addr),
               DeviceStatus::kOk);
-    bench.scheduler.note_input();
-    ASSERT_EQ(bench.scheduler.execute(plan), DeviceStatus::kOk);
+    bench.scheduler->note_input();
+    ASSERT_EQ(bench.scheduler->execute(plan), DeviceStatus::kOk);
     crypto::SealedRecord sealed;
-    ASSERT_EQ(bench.device.export_output(plan.output_addr, plan.output_bytes, sealed),
+    ASSERT_EQ(bench.device.export_output(sid, plan.output_addr,
+                                         plan.output_bytes, sealed),
               DeviceStatus::kOk);
     const auto output = bench.user.open_output(sealed);
     ASSERT_TRUE(output.has_value());
@@ -223,9 +232,10 @@ TEST(MaliciousHost, StaleWeightReplayAfterUpdateDetected) {
   const FuncNetwork net = small_cnn();
   TestBench bench;
   ASSERT_TRUE(bench.establish(true));
+  const accel::SessionId sid = bench.user.session_id();
   const ExecutionPlan plan = HostScheduler::compile(net);
 
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   // Snapshot the old weight ciphertext and its MAC slots.
@@ -238,9 +248,10 @@ TEST(MaliciousHost, StaleWeightReplayAfterUpdateDetected) {
   // User ships updated weights (e.g. a fine-tuned model).
   Bytes updated = plan.weight_blob;
   for (auto& b : updated) b = static_cast<u8>(b ^ 0x3c);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(updated), plan.weight_base),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(updated),
+                                    plan.weight_base),
             DeviceStatus::kOk);
-  EXPECT_EQ(bench.device.vn_generator().ctr_w(), 2u);
+  EXPECT_EQ(bench.device.vn_generator(sid).ctr_w(), 2u);
 
   // Adversary rolls DRAM back to the old (self-consistent) snapshot.
   bench.memory.write(plan.weight_base, old_cipher);
@@ -248,10 +259,11 @@ TEST(MaliciousHost, StaleWeightReplayAfterUpdateDetected) {
 
   const functional::Tensor input = random_input(net, 71);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
-  EXPECT_EQ(bench.scheduler.execute(plan), DeviceStatus::kIntegrityFailure)
+  bench.scheduler->note_input();
+  EXPECT_EQ(bench.scheduler->execute(plan), DeviceStatus::kIntegrityFailure)
       << "stale-weight replay must fail: MAC was computed under CTR_W=1";
 }
 
@@ -262,17 +274,20 @@ TEST(EndToEnd, WeightUpdateChangesOutput) {
   const functional::Tensor input = random_input(net, 82);
   TestBench bench;
   ASSERT_TRUE(bench.establish(false));
+  const accel::SessionId sid = bench.user.session_id();
   ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
-  ASSERT_EQ(bench.scheduler.execute(plan), DeviceStatus::kOk);
+  bench.scheduler->note_input();
+  ASSERT_EQ(bench.scheduler->execute(plan), DeviceStatus::kOk);
   crypto::SealedRecord sealed;
-  ASSERT_EQ(bench.device.export_output(plan.output_addr, plan.output_bytes, sealed),
+  ASSERT_EQ(bench.device.export_output(sid, plan.output_addr,
+                                       plan.output_bytes, sealed),
             DeviceStatus::kOk);
   const auto out_v1 = bench.user.open_output(sealed);
   ASSERT_TRUE(out_v1.has_value());
@@ -281,16 +296,16 @@ TEST(EndToEnd, WeightUpdateChangesOutput) {
   // Update the model (new conv weights), re-run the same input.
   FuncNetwork net_v2 = small_cnn(99);
   const ExecutionPlan plan_v2 = HostScheduler::compile(net_v2);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan_v2.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan_v2.weight_blob),
                                     plan_v2.weight_base),
             DeviceStatus::kOk);
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
                                    plan_v2.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
-  ASSERT_EQ(bench.scheduler.execute(plan_v2), DeviceStatus::kOk);
-  ASSERT_EQ(bench.device.export_output(plan_v2.output_addr, plan_v2.output_bytes,
-                                       sealed),
+  bench.scheduler->note_input();
+  ASSERT_EQ(bench.scheduler->execute(plan_v2), DeviceStatus::kOk);
+  ASSERT_EQ(bench.device.export_output(sid, plan_v2.output_addr,
+                                       plan_v2.output_bytes, sealed),
             DeviceStatus::kOk);
   const auto out_v2 = bench.user.open_output(sealed);
   ASSERT_TRUE(out_v2.has_value());
@@ -383,26 +398,29 @@ TEST(MaliciousHost, WrongReadCtrNeverLeaksOnlyGarbles) {
   const functional::Tensor input = random_input(net, 11);
   TestBench bench;
   ASSERT_TRUE(bench.establish(false));
+  const accel::SessionId sid = bench.user.session_id();
   const ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
+  bench.scheduler->note_input();
 
   // Malicious schedule: wrong read counters everywhere.
   for (std::size_t i = 0; i < plan.ops.size(); ++i) {
     const auto& op = plan.ops[i];
-    ASSERT_EQ(bench.device.set_read_ctr(op.input_addr, 1 << 16, 0xbad),
+    ASSERT_EQ(bench.device.set_read_ctr(sid, op.input_addr, 1 << 16, 0xbad),
               DeviceStatus::kOk);
-    ASSERT_EQ(bench.device.forward(op), DeviceStatus::kOk);
+    ASSERT_EQ(bench.device.forward(sid, op), DeviceStatus::kOk);
   }
-  ASSERT_EQ(bench.device.set_read_ctr(plan.output_addr, 1 << 16, 0xbad),
+  ASSERT_EQ(bench.device.set_read_ctr(sid, plan.output_addr, 1 << 16, 0xbad),
             DeviceStatus::kOk);
   crypto::SealedRecord sealed;
-  ASSERT_EQ(bench.device.export_output(plan.output_addr, plan.output_bytes, sealed),
+  ASSERT_EQ(bench.device.export_output(sid, plan.output_addr,
+                                       plan.output_bytes, sealed),
             DeviceStatus::kOk);
   const auto output = bench.user.open_output(sealed);
   ASSERT_TRUE(output.has_value());
@@ -422,23 +440,25 @@ TEST(MaliciousHost, ReorderedInstructionsCaughtByAttestation) {
   // integrity on, reading the never-written ping-pong buffer would already
   // kill the session); attestation is what catches the reorder.
   ASSERT_TRUE(bench.establish(false));
+  const accel::SessionId sid = bench.user.session_id();
   ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
+  bench.scheduler->note_input();
 
   // Malicious host swaps relu and maxpool (a plausible-looking change).
   ExecutionPlan tampered = plan;
   std::swap(tampered.ops[1], tampered.ops[2]);
   // The swapped ops still execute (GuardNN allows any sequence)...
-  (void)bench.scheduler.execute(tampered);
+  (void)bench.scheduler->execute(tampered);
   crypto::SealedRecord sealed;
-  (void)bench.device.export_output(tampered.output_addr, tampered.output_bytes,
-                                   sealed);
+  (void)bench.device.export_output(sid, tampered.output_addr,
+                                   tampered.output_bytes, sealed);
   const auto output = bench.user.open_output(sealed);
   ASSERT_TRUE(output.has_value());
 
@@ -448,7 +468,7 @@ TEST(MaliciousHost, ReorderedInstructionsCaughtByAttestation) {
   bench.user.expect_output(*output);
   mirror_attestation(bench.user, plan);  // the *intended* plan
   accel::SignOutputResponse report;
-  ASSERT_EQ(bench.device.sign_output(report), DeviceStatus::kOk);
+  ASSERT_EQ(bench.device.sign_output(sid, report), DeviceStatus::kOk);
   EXPECT_FALSE(bench.user.verify_attestation(report));
 }
 
@@ -457,22 +477,25 @@ TEST(MaliciousHost, TamperedDramDetectedWithIntegrity) {
   const functional::Tensor input = random_input(net, 17);
   TestBench bench;
   ASSERT_TRUE(bench.establish(true));
+  const accel::SessionId sid = bench.user.session_id();
   const ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
+  bench.scheduler->note_input();
 
   // Flip one ciphertext bit in the weight region.
   bench.memory.tamper(plan.weight_addrs[0] + 17, 0x80);
-  const DeviceStatus status = bench.scheduler.execute(plan);
+  const DeviceStatus status = bench.scheduler->execute(plan);
   EXPECT_EQ(status, DeviceStatus::kIntegrityFailure);
   // The session is dead: even untampered exports now fail.
   crypto::SealedRecord sealed;
-  EXPECT_EQ(bench.device.export_output(plan.output_addr, plan.output_bytes, sealed),
+  EXPECT_EQ(bench.device.export_output(sid, plan.output_addr,
+                                       plan.output_bytes, sealed),
             DeviceStatus::kIntegrityFailure);
 }
 
@@ -484,18 +507,21 @@ TEST(MaliciousHost, TamperedDramUndetectedWithoutIntegrityButStillGarbled) {
   const functional::Tensor input = random_input(net, 19);
   TestBench bench;
   ASSERT_TRUE(bench.establish(false));
+  const accel::SessionId sid = bench.user.session_id();
   const ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
+  bench.scheduler->note_input();
   bench.memory.tamper(plan.weight_addrs[0] + 5, 0x40);
-  ASSERT_EQ(bench.scheduler.execute(plan), DeviceStatus::kOk);  // undetected
+  ASSERT_EQ(bench.scheduler->execute(plan), DeviceStatus::kOk);  // undetected
   crypto::SealedRecord sealed;
-  ASSERT_EQ(bench.device.export_output(plan.output_addr, plan.output_bytes, sealed),
+  ASSERT_EQ(bench.device.export_output(sid, plan.output_addr,
+                                       plan.output_bytes, sealed),
             DeviceStatus::kOk);
   const auto output = bench.user.open_output(sealed);
   ASSERT_TRUE(output.has_value());
@@ -529,7 +555,7 @@ TEST(SideChannel, MemoryTraceIndependentOfData) {
     TestBench bench;
     const auto output = bench.run(net, input, true, /*attest=*/false);
     EXPECT_TRUE(output.has_value());
-    return bench.device.access_trace();
+    return bench.device.access_trace(bench.user.session_id());
   };
   const auto trace_a = trace_of(net_a, in_a);
   const auto trace_b = trace_of(net_b, in_b);
@@ -564,17 +590,20 @@ TEST(Attestation, WrongWeightsRejected) {
   const functional::Tensor input = random_input(net, 43);
   TestBench bench;
   ASSERT_TRUE(bench.establish(true));
+  const accel::SessionId sid = bench.user.session_id();
   const ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
-  ASSERT_EQ(bench.scheduler.execute(plan), DeviceStatus::kOk);
+  bench.scheduler->note_input();
+  ASSERT_EQ(bench.scheduler->execute(plan), DeviceStatus::kOk);
   crypto::SealedRecord sealed;
-  ASSERT_EQ(bench.device.export_output(plan.output_addr, plan.output_bytes, sealed),
+  ASSERT_EQ(bench.device.export_output(sid, plan.output_addr,
+                                       plan.output_bytes, sealed),
             DeviceStatus::kOk);
   const auto output = bench.user.open_output(sealed);
   ASSERT_TRUE(output.has_value());
@@ -586,7 +615,7 @@ TEST(Attestation, WrongWeightsRejected) {
   bench.user.expect_output(*output);
   mirror_attestation(bench.user, plan);
   accel::SignOutputResponse report;
-  ASSERT_EQ(bench.device.sign_output(report), DeviceStatus::kOk);
+  ASSERT_EQ(bench.device.sign_output(sid, report), DeviceStatus::kOk);
   EXPECT_FALSE(bench.user.verify_attestation(report));
 }
 
@@ -595,17 +624,20 @@ TEST(Attestation, ForgedSignatureRejected) {
   const functional::Tensor input = random_input(net, 47);
   TestBench bench;
   ASSERT_TRUE(bench.establish(true));
+  const accel::SessionId sid = bench.user.session_id();
   const ExecutionPlan plan = HostScheduler::compile(net);
-  ASSERT_EQ(bench.device.set_weight(bench.user.seal(plan.weight_blob),
+  ASSERT_EQ(bench.device.set_weight(sid, bench.user.seal(plan.weight_blob),
                                     plan.weight_base),
             DeviceStatus::kOk);
   const Bytes input_bytes(input.bytes().begin(), input.bytes().end());
-  ASSERT_EQ(bench.device.set_input(bench.user.seal(input_bytes), plan.input_addr),
+  ASSERT_EQ(bench.device.set_input(sid, bench.user.seal(input_bytes),
+                                   plan.input_addr),
             DeviceStatus::kOk);
-  bench.scheduler.note_input();
-  ASSERT_EQ(bench.scheduler.execute(plan), DeviceStatus::kOk);
+  bench.scheduler->note_input();
+  ASSERT_EQ(bench.scheduler->execute(plan), DeviceStatus::kOk);
   crypto::SealedRecord sealed;
-  ASSERT_EQ(bench.device.export_output(plan.output_addr, plan.output_bytes, sealed),
+  ASSERT_EQ(bench.device.export_output(sid, plan.output_addr,
+                                       plan.output_bytes, sealed),
             DeviceStatus::kOk);
   const auto output = bench.user.open_output(sealed);
   ASSERT_TRUE(output.has_value());
@@ -615,7 +647,7 @@ TEST(Attestation, ForgedSignatureRejected) {
   bench.user.expect_output(*output);
   mirror_attestation(bench.user, plan);
   accel::SignOutputResponse report;
-  ASSERT_EQ(bench.device.sign_output(report), DeviceStatus::kOk);
+  ASSERT_EQ(bench.device.sign_output(sid, report), DeviceStatus::kOk);
   report.signature.r = crypto::add_mod(report.signature.r, crypto::U256::one(),
                                        crypto::p256().n);
   EXPECT_FALSE(bench.user.verify_attestation(report));

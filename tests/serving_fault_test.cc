@@ -353,6 +353,25 @@ TEST(DeviceHealth, QuarantineRemovesFromRoutingRescalesBudgetAndReinstates) {
   EXPECT_EQ(server.admission_byte_budget(), std::size_t{1} << 20);
 }
 
+TEST(DeviceHealth, FailStopKillRescalesBudgetToSurvivors) {
+  // The fail-stop half of the rescale rule (the quarantine half is above):
+  // once the monitor sees a dead device, routing and the admission byte
+  // budget shrink to the surviving fleet, with no traffic needed.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.max_pending_bytes = 1 << 20;
+  InferenceServer server = env.make(config);
+  ASSERT_EQ(server.admission_byte_budget(), std::size_t{1} << 20);
+
+  server.faults().kill(0);
+  EXPECT_TRUE(eventually([&] {
+    return server.routable_device_count() == 1 &&
+           server.admission_byte_budget() == (std::size_t{1} << 20) / 2;
+  })) << "routable " << server.routable_device_count() << ", budget "
+      << server.admission_byte_budget();
+}
+
 // --- Deadlines ---------------------------------------------------------------
 
 TEST(Deadlines, WedgedDeviceResolvesTimeoutNotAHungFuture) {
@@ -593,6 +612,103 @@ TEST(Failover, DroppedCompletionWoundsSessionDeviceSurvives) {
   const auto output = bystander.user->open_output(fine.sealed_output);
   ASSERT_TRUE(output.has_value());
   EXPECT_EQ(*output, host::reference_run(net, input));
+}
+
+// --- Teardown of a worker-owned tenant ---------------------------------------
+// A tenant waiting in a ready queue belongs to the worker that will pop it,
+// so teardown leaves its FIFO to that worker. A scripted wedge holds the only
+// worker inside another tenant's device call, which makes the teardown land
+// deterministically while the tenant waits.
+
+TEST(WorkerOwnedTeardown, DisconnectedQueueResolvesNoTenantUncounted) {
+  // A torn-down tenant's drained requests never reach the device, so the
+  // processed-work counters (stats().requests, stats().batches, the
+  // batch-size histogram, the per-tenant counter) must not count them.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 1;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork net = small_cnn(10300);
+  TenantClient a;
+  TenantClient b;
+  ASSERT_TRUE(a.connect(server, env.ca.public_key(), 10301));
+  ASSERT_TRUE(a.load(server, net));
+  ASSERT_TRUE(b.connect(server, env.ca.public_key(), 10302));
+  ASSERT_TRUE(b.load(server, net));
+  const ServerStats before = server.stats();
+
+  server.faults().script_latency(0, 300, 1);
+  const u64 injected = server.faults().injected_count();
+  std::future<InferenceResult> a_future = server.submit_async(
+      a.tenant, a.user->seal(tensor_bytes(random_input(net, 10310))));
+  ASSERT_TRUE(eventually(
+      [&] { return server.faults().injected_count() > injected; }));
+
+  std::vector<std::future<InferenceResult>> b_futures;
+  for (u64 r = 0; r < 6; ++r)
+    b_futures.push_back(server.submit_async(
+        b.tenant, b.user->seal(tensor_bytes(random_input(net, 10320 + r)))));
+  EXPECT_EQ(server.disconnect(b.tenant), DeviceStatus::kOk);
+
+  const InferenceResult a_result = a_future.get();
+  EXPECT_EQ(a_result.outcome, RequestOutcome::kOk)
+      << outcome_name(a_result.outcome);
+  for (auto& future : b_futures) {
+    const InferenceResult result = future.get();
+    EXPECT_EQ(result.outcome, RequestOutcome::kNoTenant)
+        << outcome_name(result.outcome);
+  }
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.requests - before.requests, 1u);
+  EXPECT_EQ(after.batches - before.batches, 1u);
+  EXPECT_TRUE(eventually([&] {
+    return server.pending_requests() == 0 && server.pending_bytes() == 0;
+  }));
+}
+
+TEST(WorkerOwnedTeardown, ResetLeavesQueuedTenantToItsWorker) {
+  // A reset that clears a worker-owned tenant's FIFO in place destroys the
+  // promises under the worker, and their futures throw broken_promise. The
+  // reset must flip the tenant closed and let the worker drain it.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork net = small_cnn(10400);
+  TenantClient a;
+  TenantClient b;
+  ASSERT_TRUE(a.connect(server, env.ca.public_key(), 10401));
+  ASSERT_TRUE(a.load(server, net));
+  ASSERT_TRUE(b.connect(server, env.ca.public_key(), 10402));
+  ASSERT_TRUE(b.load(server, net));
+  ASSERT_NE(a.device_index, b.device_index);
+
+  server.faults().script_latency(a.device_index, 300, 1);
+  const u64 injected = server.faults().injected_count();
+  std::future<InferenceResult> a_future = server.submit_async(
+      a.tenant, a.user->seal(tensor_bytes(random_input(net, 10410))));
+  ASSERT_TRUE(eventually(
+      [&] { return server.faults().injected_count() > injected; }));
+
+  std::vector<std::future<InferenceResult>> b_futures;
+  for (u64 r = 0; r < 12; ++r)
+    b_futures.push_back(server.submit_async(
+        b.tenant, b.user->seal(tensor_bytes(random_input(net, 10420 + r)))));
+  EXPECT_EQ(server.reset_device(b.device_index), DeviceStatus::kOk);
+
+  for (auto& future : b_futures) {
+    const InferenceResult result = future.get();
+    EXPECT_EQ(result.outcome, RequestOutcome::kNoTenant)
+        << outcome_name(result.outcome);
+  }
+  EXPECT_EQ(a_future.get().outcome, RequestOutcome::kOk);
+  EXPECT_TRUE(eventually([&] {
+    return server.pending_requests() == 0 && server.pending_bytes() == 0;
+  }));
 }
 
 // --- Chaos: the TSan acceptance workload -------------------------------------

@@ -109,13 +109,14 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   ASSERT_TRUE(bench.establish());
   auto& dev = bench.device;
   auto& user = bench.user;
+  const accel::SessionId sid = user.session_id();
 
   // Import model + input.
-  ASSERT_EQ(dev.set_weight(user.seal(bench.weight_blob()), kWBase),
+  ASSERT_EQ(dev.set_weight(sid, user.seal(bench.weight_blob()), kWBase),
             DeviceStatus::kOk);
   const Bytes x_bytes(reinterpret_cast<const u8*>(bench.x.data()),
                       reinterpret_cast<const u8*>(bench.x.data()) + bench.x.size());
-  ASSERT_EQ(dev.set_input(user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_input(sid, user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
 
   const u64 in1 = 1ULL << 32;  // CTR_IN = 1
 
@@ -126,15 +127,15 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   fc1.out_c = TrainBench::kHidden;
   fc1.requant_shift = TrainBench::kShift;
   fc1.input_addr = kXAddr; fc1.weight_addr = kWBase; fc1.output_addr = kF0;
-  ASSERT_EQ(dev.set_read_ctr(kXAddr, 512, in1 | 0), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(fc1), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kXAddr, 512, in1 | 0), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, fc1), DeviceStatus::kOk);
 
   ForwardOp relu;
   relu.kind = ForwardOp::Kind::kRelu;
   relu.in_c = TrainBench::kHidden; relu.in_h = 1; relu.in_w = 1;
   relu.input_addr = kF0; relu.output_addr = kF1;
-  ASSERT_EQ(dev.set_read_ctr(kF0, 512, in1 | 0), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(relu), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kF0, 512, in1 | 0), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, relu), DeviceStatus::kOk);
 
   ForwardOp fc2;
   fc2.kind = ForwardOp::Kind::kFc;
@@ -142,13 +143,14 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   fc2.out_c = TrainBench::kOut;
   fc2.requant_shift = TrainBench::kShift;
   fc2.input_addr = kF1; fc2.weight_addr = kWBase + 512; fc2.output_addr = kF2;
-  ASSERT_EQ(dev.set_read_ctr(kF1, 512, in1 | 1), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(fc2), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kF1, 512, in1 | 1), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, fc2), DeviceStatus::kOk);
 
   // Export logits; user computes the loss gradient and imports it.
-  ASSERT_EQ(dev.set_read_ctr(kF2, 512, in1 | 2), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kF2, 512, in1 | 2), DeviceStatus::kOk);
   crypto::SealedRecord sealed;
-  ASSERT_EQ(dev.export_output(kF2, TrainBench::kOut, sealed), DeviceStatus::kOk);
+  ASSERT_EQ(dev.export_output(sid, kF2, TrainBench::kOut, sealed),
+            DeviceStatus::kOk);
   const auto y = user.open_output(sealed);
   ASSERT_TRUE(y.has_value());
 
@@ -158,7 +160,7 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   EXPECT_EQ(*y, y_ref);
 
   // dy = y (target 0), imported as a new encrypted input. CTR_IN -> 2.
-  ASSERT_EQ(dev.set_input(user.seal(*y), kDy), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_input(sid, user.seal(*y), kDy), DeviceStatus::kOk);
   const u64 in2 = 2ULL << 32;
 
   // Backward: dA1 = W2^T dy   (write VN in2|0)
@@ -169,8 +171,8 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   fc2_dx.requant_shift = TrainBench::kGradShift;
   fc2_dx.input_addr = kDy; fc2_dx.weight_addr = kWBase + 512;
   fc2_dx.output_addr = kDa1;
-  ASSERT_EQ(dev.set_read_ctr(kDy, 512, in2 | 0), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(fc2_dx), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDy, 512, in2 | 0), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, fc2_dx), DeviceStatus::kOk);
 
   // dH1 = relu'(h1) * dA1   (write VN in2|1)
   ForwardOp relu_dx;
@@ -179,9 +181,9 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   relu_dx.aux_c = TrainBench::kHidden; relu_dx.aux_h = 1; relu_dx.aux_w = 1;
   relu_dx.input_addr = kDa1; relu_dx.input2_addr = kF0;
   relu_dx.output_addr = kDh1;
-  ASSERT_EQ(dev.set_read_ctr(kDa1, 512, in2 | 0), DeviceStatus::kOk);
-  ASSERT_EQ(dev.set_read_ctr(kF0, 512, in1 | 0), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(relu_dx), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDa1, 512, in2 | 0), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kF0, 512, in1 | 0), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, relu_dx), DeviceStatus::kOk);
 
   // dW2 = dy a1^T -> grad blob offset 512   (write VN in2|2)
   ForwardOp fc2_dw;
@@ -191,9 +193,9 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   fc2_dw.requant_shift = TrainBench::kGradShift;
   fc2_dw.input_addr = kDy; fc2_dw.input2_addr = kF1;
   fc2_dw.output_addr = kGradBlob + 512;
-  ASSERT_EQ(dev.set_read_ctr(kDy, 512, in2 | 0), DeviceStatus::kOk);
-  ASSERT_EQ(dev.set_read_ctr(kF1, 512, in1 | 1), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(fc2_dw), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDy, 512, in2 | 0), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kF1, 512, in1 | 1), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, fc2_dw), DeviceStatus::kOk);
 
   // dW1 = dH1 x^T -> grad blob offset 0   (write VN in2|3)
   ForwardOp fc1_dw;
@@ -203,9 +205,9 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   fc1_dw.requant_shift = TrainBench::kGradShift;
   fc1_dw.input_addr = kDh1; fc1_dw.input2_addr = kXAddr;
   fc1_dw.output_addr = kGradBlob;
-  ASSERT_EQ(dev.set_read_ctr(kDh1, 512, in2 | 1), DeviceStatus::kOk);
-  ASSERT_EQ(dev.set_read_ctr(kXAddr, 512, in1 | 0), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(fc1_dw), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDh1, 512, in2 | 1), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kXAddr, 512, in1 | 0), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, fc1_dw), DeviceStatus::kOk);
 
   // SGD update over the whole blob; per-range gradient read counters.
   ForwardOp update;
@@ -214,16 +216,17 @@ TEST(DeviceTraining, FullStepMatchesReference) {
   update.requant_shift = TrainBench::kLrShift;
   update.input_addr = kGradBlob;
   update.weight_addr = kWBase;
-  ASSERT_EQ(dev.set_read_ctr(kGradBlob, 512, in2 | 3), DeviceStatus::kOk);
-  ASSERT_EQ(dev.set_read_ctr(kGradBlob + 512, 512, in2 | 2), DeviceStatus::kOk);
-  EXPECT_EQ(dev.vn_generator().ctr_w(), 1u);
-  ASSERT_EQ(dev.forward(update), DeviceStatus::kOk);
-  EXPECT_EQ(dev.vn_generator().ctr_w(), 2u);
+  ASSERT_EQ(dev.set_read_ctr(sid, kGradBlob, 512, in2 | 3), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kGradBlob + 512, 512, in2 | 2),
+            DeviceStatus::kOk);
+  EXPECT_EQ(dev.vn_generator(sid).ctr_w(), 1u);
+  ASSERT_EQ(dev.forward(sid, update), DeviceStatus::kOk);
+  EXPECT_EQ(dev.vn_generator(sid).ctr_w(), 2u);
 
   // Export the fine-tuned model back to the user (weights read with the new
   // CTR_W, which the host mirrors).
-  ASSERT_EQ(dev.set_read_ctr(kWBase, 1024, 2), DeviceStatus::kOk);
-  ASSERT_EQ(dev.export_output(kWBase, 1024, sealed), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kWBase, 1024, 2), DeviceStatus::kOk);
+  ASSERT_EQ(dev.export_output(sid, kWBase, 1024, sealed), DeviceStatus::kOk);
   const auto updated = user.open_output(sealed);
   ASSERT_TRUE(updated.has_value());
   EXPECT_EQ(*updated, ref.updated_blob)
@@ -241,6 +244,7 @@ TEST(DeviceTraining, ConvBackwardOpsMatchReference) {
   RemoteUser user(ca.public_key(), Bytes{0x56});
   ASSERT_TRUE(user.attest_device(dev.get_pk()));
   ASSERT_TRUE(user.complete_session(dev.init_session(user.begin_session(), true)));
+  const accel::SessionId sid = user.session_id();
 
   // Geometry: 2x6x6 input, 3 output channels, 3x3 kernel, stride 1, pad 1.
   const int ic = 2, hw = 6, oc = 3, k = 3;
@@ -258,11 +262,11 @@ TEST(DeviceTraining, ConvBackwardOpsMatchReference) {
   // Import weights (blob), x (input 1), dy (input 2).
   Bytes wblob(512, 0);
   std::copy(w.data.begin(), w.data.end(), reinterpret_cast<i8*>(wblob.data()));
-  ASSERT_EQ(dev.set_weight(user.seal(wblob), kWBase), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_weight(sid, user.seal(wblob), kWBase), DeviceStatus::kOk);
   const Bytes x_bytes(x.bytes().begin(), x.bytes().end());
-  ASSERT_EQ(dev.set_input(user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_input(sid, user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
   const Bytes dy_bytes(dy.bytes().begin(), dy.bytes().end());
-  ASSERT_EQ(dev.set_input(user.seal(dy_bytes), kDy), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_input(sid, user.seal(dy_bytes), kDy), DeviceStatus::kOk);
 
   // kConvDx: dX from dY and W.
   ForwardOp conv_dx;
@@ -273,8 +277,8 @@ TEST(DeviceTraining, ConvBackwardOpsMatchReference) {
   conv_dx.requant_shift = 2;
   conv_dx.input_addr = kDy; conv_dx.weight_addr = kWBase;
   conv_dx.output_addr = kDh1;
-  ASSERT_EQ(dev.set_read_ctr(kDy, 512, 2ULL << 32), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(conv_dx), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDy, 512, 2ULL << 32), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, conv_dx), DeviceStatus::kOk);
 
   // kConvDw: dW from dY and x.
   ForwardOp conv_dw;
@@ -285,25 +289,26 @@ TEST(DeviceTraining, ConvBackwardOpsMatchReference) {
   conv_dw.requant_shift = 4;
   conv_dw.input_addr = kDy; conv_dw.input2_addr = kXAddr;
   conv_dw.output_addr = kGradBlob;
-  ASSERT_EQ(dev.set_read_ctr(kDy, 512, 2ULL << 32), DeviceStatus::kOk);
-  ASSERT_EQ(dev.set_read_ctr(kXAddr, 512, 1ULL << 32), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(conv_dw), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDy, 512, 2ULL << 32), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kXAddr, 512, 1ULL << 32), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, conv_dw), DeviceStatus::kOk);
 
   // Export and compare against the plaintext operators.
   const functional::Tensor dx_ref =
       functional::conv2d_backward_input(dy, w, hw, hw, 1, 1, 2);
-  ASSERT_EQ(dev.set_read_ctr(kDh1, 512, 2ULL << 32), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDh1, 512, 2ULL << 32), DeviceStatus::kOk);
   crypto::SealedRecord sealed;
-  ASSERT_EQ(dev.export_output(kDh1, dx_ref.size(), sealed), DeviceStatus::kOk);
+  ASSERT_EQ(dev.export_output(sid, kDh1, dx_ref.size(), sealed),
+            DeviceStatus::kOk);
   auto exported = user.open_output(sealed);
   ASSERT_TRUE(exported.has_value());
   EXPECT_EQ(*exported, Bytes(dx_ref.bytes().begin(), dx_ref.bytes().end()));
 
   const functional::ConvWeights dw_ref =
       functional::conv2d_backward_weights(dy, x, k, 1, 1, 4);
-  ASSERT_EQ(dev.set_read_ctr(kGradBlob, 512, (2ULL << 32) | 1),
+  ASSERT_EQ(dev.set_read_ctr(sid, kGradBlob, 512, (2ULL << 32) | 1),
             DeviceStatus::kOk);
-  ASSERT_EQ(dev.export_output(kGradBlob, dw_ref.data.size(), sealed),
+  ASSERT_EQ(dev.export_output(sid, kGradBlob, dw_ref.data.size(), sealed),
             DeviceStatus::kOk);
   exported = user.open_output(sealed);
   ASSERT_TRUE(exported.has_value());
@@ -318,6 +323,7 @@ TEST(DeviceTraining, MaxPoolBackwardOnDevice) {
   RemoteUser user(ca.public_key(), Bytes{0x59});
   ASSERT_TRUE(user.attest_device(dev.get_pk()));
   ASSERT_TRUE(user.complete_session(dev.init_session(user.begin_session(), true)));
+  const accel::SessionId sid = user.session_id();
 
   functional::Tensor x(1, 4, 4), dy(1, 2, 2);
   Xoshiro256 rng(31);
@@ -327,9 +333,9 @@ TEST(DeviceTraining, MaxPoolBackwardOnDevice) {
     v = static_cast<i8>(static_cast<int>(rng.next_below(7)) - 3);
 
   const Bytes x_bytes(x.bytes().begin(), x.bytes().end());
-  ASSERT_EQ(dev.set_input(user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_input(sid, user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
   const Bytes dy_bytes(dy.bytes().begin(), dy.bytes().end());
-  ASSERT_EQ(dev.set_input(user.seal(dy_bytes), kDy), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_input(sid, user.seal(dy_bytes), kDy), DeviceStatus::kOk);
 
   ForwardOp op;
   op.kind = ForwardOp::Kind::kMaxPoolDx;
@@ -337,14 +343,14 @@ TEST(DeviceTraining, MaxPoolBackwardOnDevice) {
   op.aux_c = 1; op.aux_h = 4; op.aux_w = 4;
   op.kernel = 2; op.stride = 2;
   op.input_addr = kDy; op.input2_addr = kXAddr; op.output_addr = kDh1;
-  ASSERT_EQ(dev.set_read_ctr(kDy, 512, 2ULL << 32), DeviceStatus::kOk);
-  ASSERT_EQ(dev.set_read_ctr(kXAddr, 512, 1ULL << 32), DeviceStatus::kOk);
-  ASSERT_EQ(dev.forward(op), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDy, 512, 2ULL << 32), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kXAddr, 512, 1ULL << 32), DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, op), DeviceStatus::kOk);
 
   const functional::Tensor ref = functional::maxpool_backward(dy, x, 2, 2);
-  ASSERT_EQ(dev.set_read_ctr(kDh1, 512, 2ULL << 32), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_read_ctr(sid, kDh1, 512, 2ULL << 32), DeviceStatus::kOk);
   crypto::SealedRecord sealed;
-  ASSERT_EQ(dev.export_output(kDh1, ref.size(), sealed), DeviceStatus::kOk);
+  ASSERT_EQ(dev.export_output(sid, kDh1, ref.size(), sealed), DeviceStatus::kOk);
   const auto exported = user.open_output(sealed);
   ASSERT_TRUE(exported.has_value());
   EXPECT_EQ(*exported, Bytes(ref.bytes().begin(), ref.bytes().end()));
@@ -357,11 +363,12 @@ TEST(DeviceTraining, StaleGradientReplayDetected) {
   ASSERT_TRUE(bench.establish());
   auto& dev = bench.device;
   auto& user = bench.user;
-  ASSERT_EQ(dev.set_weight(user.seal(bench.weight_blob()), kWBase),
+  const accel::SessionId sid = user.session_id();
+  ASSERT_EQ(dev.set_weight(sid, user.seal(bench.weight_blob()), kWBase),
             DeviceStatus::kOk);
   const Bytes x_bytes(reinterpret_cast<const u8*>(bench.x.data()),
                       reinterpret_cast<const u8*>(bench.x.data()) + bench.x.size());
-  ASSERT_EQ(dev.set_input(user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
+  ASSERT_EQ(dev.set_input(sid, user.seal(x_bytes), kXAddr), DeviceStatus::kOk);
 
   // The host claims a gradient exists at kGradBlob, but nothing was written
   // there: the MAC over the zero-filled region cannot verify.
@@ -370,9 +377,9 @@ TEST(DeviceTraining, StaleGradientReplayDetected) {
   update.in_c = 1024; update.in_h = 1; update.in_w = 1;
   update.input_addr = kGradBlob;
   update.weight_addr = kWBase;
-  ASSERT_EQ(dev.set_read_ctr(kGradBlob, 1024, (1ULL << 32) | 0),
+  ASSERT_EQ(dev.set_read_ctr(sid, kGradBlob, 1024, (1ULL << 32) | 0),
             DeviceStatus::kOk);
-  EXPECT_EQ(dev.forward(update), DeviceStatus::kIntegrityFailure);
+  EXPECT_EQ(dev.forward(sid, update), DeviceStatus::kIntegrityFailure);
 }
 
 }  // namespace
