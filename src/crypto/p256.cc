@@ -124,23 +124,6 @@ AffinePoint ec_scalar_mult(const U256& k, const AffinePoint& point) {
   return to_affine(result);
 }
 
-AffinePoint ec_scalar_mult_ladder(const U256& k, const AffinePoint& point) {
-  // R0 = O, R1 = P; every iteration performs exactly one add and one double,
-  // selecting operands by the key bit rather than branching on work done.
-  JacobianPoint r0 = JacobianPoint::infinity();
-  JacobianPoint r1 = JacobianPoint::from_affine(point);
-  for (int i = 255; i >= 0; --i) {
-    if (k.bit(static_cast<unsigned>(i))) {
-      r0 = jacobian_add(r0, r1);
-      r1 = jacobian_double(r1);
-    } else {
-      r1 = jacobian_add(r0, r1);
-      r0 = jacobian_double(r0);
-    }
-  }
-  return to_affine(r0);
-}
-
 AffinePoint ec_scalar_base_mult(const U256& k) {
   AffinePoint g;
   g.x = p256().gx;

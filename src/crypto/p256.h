@@ -51,12 +51,6 @@ AffinePoint ec_add(const AffinePoint& a, const AffinePoint& b);
 /// (double-and-add; fast path for simulation-side verification).
 AffinePoint ec_scalar_mult(const U256& k, const AffinePoint& point);
 
-/// Montgomery-ladder scalar multiplication: fixed double+add schedule per
-/// bit regardless of the key, the structure a hardware implementation would
-/// use against timing side channels. Functionally identical to
-/// ec_scalar_mult (property-tested).
-AffinePoint ec_scalar_mult_ladder(const U256& k, const AffinePoint& point);
-
 /// k*G for the P-256 generator.
 AffinePoint ec_scalar_base_mult(const U256& k);
 

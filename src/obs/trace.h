@@ -1,7 +1,7 @@
 // Lightweight request tracing for the serving pipeline.
 //
 // A trace id is minted at InferenceServer::submit_async and rides inside the
-// queued Request through admission → shard queue → worker batch → device call
+// queued Request through admission → ready queue → worker batch → device call
 // → crypto seal/unseal → promise resolution. Each stage appends one fixed-
 // size SpanRecord to a ring buffer; an external reader (telemetry export,
 // examples/fleet_dashboard's span-chain audit) reconstructs per-request
@@ -41,7 +41,7 @@ namespace guardnn::obs {
 enum class SpanKind : u8 {
   kSubmit = 0,   ///< submit_async entry; code unused.
   kAdmit,        ///< admission decision; code = admission/outcome code.
-  kPickup,       ///< worker popped the request from its shard queue.
+  kPickup,       ///< worker popped the request's tenant from its ready queue.
   kUnseal,       ///< device consumed the sealed input; code = DeviceStatus.
   kDevice,       ///< device execution finished; code = DeviceStatus.
   kSeal,         ///< output sealed + signed; code = DeviceStatus.

@@ -134,12 +134,6 @@ FaultInjector::Decision FaultInjector::on_call(std::size_t device) {
   return decision;
 }
 
-bool FaultInjector::arm_from_env() {
-  const char* plan = std::getenv("GUARDNN_FAULT_PLAN");
-  if (!plan || !*plan) return false;
-  return arm_plan(plan);
-}
-
 u64 FaultInjector::env_seed(u64 fallback) {
   const char* env = std::getenv("GUARDNN_FAULT_SEED");
   if (!env || !*env) return fallback;
@@ -147,67 +141,6 @@ u64 FaultInjector::env_seed(u64 fallback) {
   const unsigned long long parsed = std::strtoull(env, &end, 0);
   if (end == env || (end && *end != '\0')) return fallback;
   return static_cast<u64>(parsed);
-}
-
-bool FaultInjector::arm_plan(const std::string& plan) {
-  // Grammar: entry(";"entry)*, entry = kind":"device[":"count[":"ms]].
-  // kill's optional third field is a call countdown, not a count.
-  std::size_t pos = 0;
-  bool ok = true;
-  while (pos <= plan.size()) {
-    const std::size_t end = std::min(plan.find(';', pos), plan.size());
-    const std::string entry = plan.substr(pos, end - pos);
-    pos = end + 1;
-    if (entry.empty()) {
-      if (end == plan.size()) break;
-      continue;
-    }
-    std::size_t c1 = entry.find(':');
-    if (c1 == std::string::npos) {
-      ok = false;
-      continue;
-    }
-    const std::string kind = entry.substr(0, c1);
-    std::size_t c2 = entry.find(':', c1 + 1);
-    std::size_t c3 = c2 == std::string::npos ? std::string::npos
-                                             : entry.find(':', c2 + 1);
-    auto field = [&](std::size_t from, std::size_t to) {
-      return entry.substr(from, to == std::string::npos ? std::string::npos
-                                                        : to - from);
-    };
-    char* parse_end = nullptr;
-    const std::string dev_str = field(c1 + 1, c2);
-    const std::size_t device =
-        static_cast<std::size_t>(std::strtoull(dev_str.c_str(), &parse_end, 0));
-    if (parse_end == dev_str.c_str() || *parse_end != '\0') {
-      ok = false;
-      continue;
-    }
-    if (device >= devices_.size()) continue;  // plan reused across fleet sizes
-    double arg2 = 0, arg3 = 0;
-    if (c2 != std::string::npos)
-      arg2 = std::strtod(field(c2 + 1, c3).c_str(), nullptr);
-    if (c3 != std::string::npos)
-      arg3 = std::strtod(entry.substr(c3 + 1).c_str(), nullptr);
-
-    if (kind == "kill") {
-      if (arg2 > 0)
-        kill_after(device, static_cast<u64>(arg2));
-      else
-        kill(device);
-    } else if (kind == "integrity") {
-      script_integrity_burst(device, arg2 > 0 ? static_cast<u64>(arg2) : 1);
-    } else if (kind == "drop") {
-      script_drop(device, arg2 > 0 ? static_cast<u64>(arg2) : 1);
-    } else if (kind == "latency") {
-      script_latency(device, arg3 > 0 ? arg3 : 1.0,
-                     arg2 > 0 ? static_cast<u64>(arg2) : 1);
-    } else {
-      ok = false;
-    }
-    if (end == plan.size()) break;
-  }
-  return ok;
 }
 
 }  // namespace guardnn::serving

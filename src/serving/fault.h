@@ -37,22 +37,14 @@
 // one relaxed atomic load per call — cheap enough to leave compiled into
 // production builds.
 //
-// Env knobs (read by arm_from_env, used by the fuzz/chaos jobs):
+// Env knob (read by env_seed; ServingFaultFuzz uses it as its soak seed):
 //   GUARDNN_FAULT_SEED   seed for probabilistic faults (decimal or 0x hex)
-//   GUARDNN_FAULT_PLAN   semicolon-separated scripted faults, each
-//                        kind:device[:count[:ms]] —
-//                          kill:1          device 1 dies immediately
-//                          kill:1:40       device 1 dies at its 40th call
-//                          integrity:0:5   next 5 calls on device 0 fail
-//                          drop:2:1        device 2 drops one completion
-//                          latency:3:8:25  8 calls on device 3 take +25 ms
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -114,15 +106,6 @@ class FaultInjector {
   /// Clears every scripted and probabilistic fault (dead stays dead).
   void clear(std::size_t device);
 
-  // --- Env-driven plans (deep-fuzz / chaos CI) -----------------------------
-
-  /// Applies GUARDNN_FAULT_PLAN (scripted) and returns true when a plan was
-  /// present and parsed. Entries naming devices beyond `device_count()` are
-  /// ignored, so one plan string works across fleet sizes.
-  bool arm_from_env();
-  /// Parses a plan string (the GUARDNN_FAULT_PLAN grammar above). Returns
-  /// false on a malformed entry; well-formed entries before it still apply.
-  bool arm_plan(const std::string& plan);
   /// GUARDNN_FAULT_SEED as a u64 (0x-prefixed hex or decimal); `fallback`
   /// when unset or unparseable.
   static u64 env_seed(u64 fallback);

@@ -102,7 +102,7 @@ InferenceServer::InferenceServer(const crypto::ManufacturerCa& ca,
     if (i >= n_primary)
       devices_.back()->standby.store(true, std::memory_order_relaxed);
   }
-  // Per-shard queue histograms and per-device request counters: the labeled
+  // Per-stripe queue histograms and per-device request counters: the labeled
   // handles are resolved once here so the worker hot path never touches the
   // registry mutex (one relaxed RMW per record, like every other counter).
   const std::size_t n_shards = table_.shard_count();
@@ -122,14 +122,15 @@ InferenceServer::InferenceServer(const crypto::ManufacturerCa& ca,
   // Request tracing is armed by GUARDNN_TRACE=1 (or trace().set_enabled());
   // disabled, each submit pays one relaxed load.
   trace_.arm_from_env();
-  // Env-driven fault plans (deep-fuzz / chaos CI): opt-in, a no-op when
-  // GUARDNN_FAULT_PLAN is unset.
-  faults_.arm_from_env();
+  for (std::size_t g = 0; g < std::min(n_workers, n_devices); ++g)
+    ready_.emplace_back();
   monitor_ = std::jthread([this](std::stop_token stop) { monitor_loop(stop); });
   workers_.reserve(n_workers);
-  for (std::size_t i = 0; i < n_workers; ++i)
+  for (std::size_t i = 0; i < n_workers; ++i) {
+    ReadyQueue& queue = ready_[i % ready_.size()];
     workers_.emplace_back(
-        [this, i](std::stop_token stop) { worker_loop(stop, i); });
+        [this, &queue](std::stop_token stop) { worker_loop(stop, queue); });
+  }
 }
 
 InferenceServer::~InferenceServer() {
@@ -138,8 +139,9 @@ InferenceServer::~InferenceServer() {
   monitor_.request_stop();
   if (monitor_.joinable()) monitor_.join();
   for (auto& worker : workers_) worker.request_stop();
-  // One wake token per worker so every blocked acquire() returns.
-  work_sem_.release(static_cast<std::ptrdiff_t>(workers_.size()));
+  // One wake per worker on every queue, so every blocked acquire() returns.
+  for (ReadyQueue& queue : ready_)
+    queue.pushed.release(static_cast<std::ptrdiff_t>(workers_.size()));
   workers_.clear();  // joins
 
   // Fail whatever the workers never picked up. Disconnected tenants are no
@@ -149,9 +151,10 @@ InferenceServer::~InferenceServer() {
   table_.for_each_shard_locked([this](Shard& shard) {
     for (auto& [id, tenant] : shard.tenants)
       drain(tenant->pending, RequestOutcome::kShutdown);
-    for (auto& tenant : shard.ready)
-      drain(tenant->pending, RequestOutcome::kShutdown);
   });
+  for (ReadyQueue& queue : ready_)
+    for (auto& tenant : queue.tenants)
+      drain(tenant->pending, RequestOutcome::kShutdown);
 }
 
 InferenceServer::Instruments InferenceServer::make_instruments(
@@ -425,7 +428,6 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
         entry->scheduled = false;
         if (!entry->pending.empty()) {
           entry->scheduled = true;
-          shard.ready.push_back(entry);
           wake = true;
         }
       } else {
@@ -435,7 +437,7 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
         entry->scheduled = false;
       }
     }
-    if (wake) work_sem_.release();
+    if (wake) make_ready(entry);
     drain(orphaned, orphan_outcome);
     // Give the half-built target session back (keys zeroized).
     if (target_session != accel::kInvalidSession)
@@ -554,8 +556,9 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   // free; its draining tail returns ownership here after each batch. The
   // flip happens in the same critical section that observes the FIFO empty
   // AND the target still routable at the generation the session was built
-  // on — a reset/death of the target mid-move can never flip a tenant onto
-  // a zeroized session.
+  // on. reset_device bumps the generation before it purges, under one busy
+  // hold, so a flip racing a target reset either sees the new generation
+  // and aborts, or lands first and is purged (and uncounted) with the rest.
   bool flipped = false;
   bool source_lost = false;
   while (true) {
@@ -571,6 +574,9 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
           entry->open = false;
           entry->scheduled = false;
           entry->draining = false;
+          devices_[source_device]->tenant_count.fetch_sub(
+              1, std::memory_order_relaxed);
+          target.tenant_count.fetch_add(1, std::memory_order_relaxed);
           flipped = true;
         }
       } else {
@@ -588,8 +594,6 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
 
   // Phase 7 — retire the source session (keys zeroized device-side; a dead
   // source took them down with its SRAM) and publish the move.
-  devices_[source_device]->tenant_count.fetch_sub(1, std::memory_order_relaxed);
-  target.tenant_count.fetch_add(1, std::memory_order_relaxed);
   close_session(source_device, entry->session);
   ins_.migrations_ok.inc();
   trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
@@ -960,14 +964,17 @@ accel::DeviceStatus InferenceServer::reset_device(std::size_t index) {
   accel::DeviceStatus status;
   std::deque<Request> orphaned;
   {
-    // busy is held across both the tenant purge and the device reset, and
+    // busy is held across both the device reset and the tenant purge, and
     // connect() registers tenants under the same lock — so no tenant can be
-    // admitted in between and survive with a wiped session. (busy -> shard
-    // nesting is the sanctioned order; nothing acquires busy while holding
-    // a shard mutex.) Purged tenants' queued requests resolve kNoTenant:
-    // owned ones (worker or migration) when the owner next looks, unowned
-    // ones here.
+    // admitted in between and survive with a wiped session. The reset comes
+    // first: a migration flip checks the generation under its shard lock,
+    // so it either sees the bump and aborts or lands before the purge
+    // reaches its shard. (busy -> shard nesting is the sanctioned order;
+    // nothing acquires busy while holding a shard mutex.) Purged tenants'
+    // queued requests resolve kNoTenant: owned ones (worker or migration)
+    // when the owner next looks, unowned ones here.
     std::lock_guard<std::mutex> busy(node.busy);
+    status = node.device.reset();
     table_.for_each_shard_locked([&](Shard& shard) {
       for (auto it = shard.tenants.begin(); it != shard.tenants.end();) {
         if (it->second->device_index == index) {
@@ -984,7 +991,6 @@ accel::DeviceStatus InferenceServer::reset_device(std::size_t index) {
       }
     });
     node.tenant_count.store(0, std::memory_order_relaxed);
-    status = node.device.reset();
   }
   drain(orphaned, RequestOutcome::kNoTenant);
   // Periodic resets must not accumulate dead (hash, generation) entries.
@@ -1046,18 +1052,18 @@ std::future<InferenceResult> InferenceServer::immediate_result(
 std::future<InferenceResult> InferenceServer::submit_async(
     TenantId tenant, crypto::SealedRecord sealed_input, bool attest,
     double deadline_ms) {
-  // Hot path: exactly one shard mutex, two atomic RMWs (admission), one
-  // semaphore release. No process-global lock. (The failover map is only
-  // consulted on a tenant miss — never on the hot path — and never while
-  // the shard lock is held. Tracing disabled adds one relaxed load; every
-  // obs counter below is one relaxed RMW.)
+  // Hot path: one shard mutex, two atomic RMWs (admission), and a queue
+  // push only when the tenant turns ready. No process-global lock. (The
+  // failover map is only consulted on a tenant miss — never on the hot path
+  // — and never while the shard lock is held. Tracing disabled adds one
+  // relaxed load; every obs counter below is one relaxed RMW.)
   const u64 trace_id = trace_.begin_trace();
   trace_.record(trace_id, obs::SpanKind::kSubmit, tenant, obs::kSpanNoDevice,
                 0);
   const std::size_t shard_index = table_.shard_index(tenant);
   Shard& shard = table_.shard_at(shard_index);
   std::future<InferenceResult> future;
-  bool wake = false;
+  std::shared_ptr<Tenant> ready;
   bool miss = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -1112,8 +1118,7 @@ std::future<InferenceResult> InferenceServer::submit_async(
       // replay and flips the entry once the queue is quiescent.
       if (!entry.scheduled && !entry.draining) {
         entry.scheduled = true;
-        shard.ready.push_back(it->second);
-        wake = true;
+        ready = it->second;
       }
     }
   }
@@ -1128,7 +1133,7 @@ std::future<InferenceResult> InferenceServer::submit_async(
     }
     return immediate_result(trace_id, tenant, RequestOutcome::kNoTenant);
   }
-  if (wake) work_sem_.release();
+  if (ready) make_ready(std::move(ready));
   return future;
 }
 
@@ -1166,36 +1171,28 @@ void InferenceServer::process_one(Tenant& tenant, DeviceNode& node,
                        : RequestOutcome::kDeviceError;
 }
 
-void InferenceServer::worker_loop(std::stop_token stop,
-                                  std::size_t worker_index) {
-  const std::size_t n_shards = table_.shard_count();
-  // Workers start their steal scan at different stripes so an idle pool
-  // fans out instead of stampeding shard 0.
-  const std::size_t n_workers = std::max<std::size_t>(1, config_.num_workers);
-  std::size_t scan_start = (worker_index * n_shards) / n_workers;
+void InferenceServer::make_ready(std::shared_ptr<Tenant> tenant) {
+  ReadyQueue& queue = ready_[tenant->device_index % ready_.size()];
+  {
+    std::lock_guard<std::mutex> lock(queue.mu);
+    queue.tenants.push_back(std::move(tenant));
+  }
+  queue.pushed.release();
+}
+
+void InferenceServer::worker_loop(std::stop_token stop, ReadyQueue& queue) {
   while (true) {
-    // One token == one tenant sitting in some shard's ready queue (or a
-    // shutdown wake). The scan below is guaranteed to find an entry
-    // eventually: pushes happen-before their release(), and every consumer
-    // holds a token of its own.
-    work_sem_.acquire();
-    if (stop.stop_requested()) break;
+    // One token == one tenant in this queue (or a shutdown wake): every push
+    // happens-before its release, and every consumer holds a token of its
+    // own, so the pop below always finds an entry.
+    queue.pushed.acquire();
+    if (stop.stop_requested()) return;
     std::shared_ptr<Tenant> tenant;
-    while (!tenant) {
-      for (std::size_t k = 0; k < n_shards && !tenant; ++k) {
-        Shard& shard = table_.shard_at((scan_start + k) % n_shards);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (!shard.ready.empty()) {
-          tenant = std::move(shard.ready.front());
-          shard.ready.pop_front();
-        }
-      }
-      if (!tenant) {
-        if (stop.stop_requested()) return;
-        std::this_thread::yield();
-      }
+    {
+      std::lock_guard<std::mutex> lock(queue.mu);
+      tenant = std::move(queue.tenants.front());
+      queue.tenants.pop_front();
     }
-    scan_start = (scan_start + 1) % n_shards;
     run_batch(tenant);
   }
 }
@@ -1412,7 +1409,6 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
       orphan_outcome = RequestOutcome::kTimeout;
       tenant->scheduled = false;
     } else if (!tenant->pending.empty() && !tenant->draining) {
-      shard.ready.push_back(tenant);
       wake = true;
     } else {
       // Empty queue — or a draining tenant, whose ownership must return to
@@ -1420,7 +1416,7 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
       tenant->scheduled = false;
     }
   }
-  if (wake) work_sem_.release();
+  if (wake) make_ready(tenant);
   drain(orphaned, orphan_outcome);
 }
 

@@ -14,14 +14,13 @@
 //     provisioning lock scoping the one-pending-ephemeral re-wrap handshake
 //     to that device — disjoint device pairs replicate concurrently);
 //   * a striped session/routing table (shard_table.h): tenants hash to one
-//     of a power-of-two set of shards, each with its own mutex, tenant map
-//     and ready queue — submit_async takes exactly one shard lock, never a
-//     process-global one, so disjoint tenants enqueue without contention;
-//   * a worker pool (std::jthread) woken through a counting semaphore (one
-//     token per tenant-became-ready transition); a worker drains its
-//     preferred stripe and steals from the others. One tenant is owned by at
-//     most one worker at a time, so each tenant's secure-channel sequence
-//     numbers stay in order while different tenants run concurrently;
+//     of a power-of-two set of shards, each with its own mutex and tenant
+//     map; the stripes only spread submit-lock traffic;
+//   * device-bound ready queues: G = min(workers, devices) queues, device d
+//     and worker w on queues d % G and w % G. A worker pops only its own
+//     queue, so it never waits on a device outside its group. One tenant is
+//     owned by at most one worker at a time, so each tenant's secure-channel
+//     sequence numbers stay in order while different tenants run concurrently;
 //   * cross-tenant batching: a worker drains up to 8 queued requests of one
 //     tenant per wakeup, amortizing queue/wake overhead; the per-request
 //     data path is PR 2's batched encrypt_blocks() burst pipeline;
@@ -91,7 +90,7 @@ struct ServerConfig {
   std::size_t num_devices = 1;
   std::size_t num_workers = 1;
   /// Shard count for the tenant/routing table, rounded up to a power of
-  /// two. 0 derives max(16, 4 × num_workers) so stripes outnumber workers.
+  /// two; spreads submit-lock traffic. 0 derives max(16, 4 × num_workers).
   std::size_t num_shards = 0;
   /// Per-tenant cap on queued-but-unprocessed requests. A tenant at its
   /// quota is rejected with kQueueFull; no other tenant is affected.
@@ -256,9 +255,10 @@ struct ServerStats {
 /// Thread safety: every public method may be called from any thread
 /// concurrently. Control-plane calls serialize on the tenant's table shard
 /// plus the per-device busy/provisioning locks; data-plane submissions
-/// enqueue under one shard lock and are executed by the worker pool
-/// (per-tenant FIFO order is preserved, cross-tenant execution is
-/// concurrent). No process-global mutex exists on the submit path.
+/// enqueue under one shard lock (plus a device queue lock when the tenant
+/// turns ready) and are executed by the worker pool (per-tenant FIFO order
+/// is preserved, cross-tenant execution is concurrent). No process-global
+/// mutex exists on the submit path.
 /// Introspection accessors return references to device-owned state and are
 /// meant for single-threaded test drivers.
 ///
@@ -487,9 +487,10 @@ class InferenceServer {
   /// Queues one inference (sealed input → sealed output). Per-tenant FIFO
   /// order; cross-tenant concurrency up to the worker/device fleet size.
   ///
-  /// Hot path: one shard mutex + two atomic RMWs + a semaphore release —
-  /// no process-global lock. Admission failures (kQueueFull/kBackpressure)
-  /// do not consume the record: retry the same SealedRecord later.
+  /// Hot path: one shard mutex + two atomic RMWs (plus a device queue push
+  /// when the tenant turns ready) — no process-global lock. Admission
+  /// failures (kQueueFull/kBackpressure) do not consume the record: retry
+  /// the same SealedRecord later.
   ///
   /// `deadline_ms` bounds enqueue → completion: 0 uses
   /// ServerConfig::default_deadline_ms, negative disables the deadline for
@@ -613,7 +614,7 @@ class InferenceServer {
     host::HostScheduler scheduler;
     std::shared_ptr<const host::ExecutionPlan> plan;
     std::deque<Request> pending;
-    bool scheduled = false;  ///< In a shard's ready queue or worker-owned.
+    bool scheduled = false;  ///< In a ready queue, or worker/migration-owned.
     bool open = true;
     /// Live migration in progress: submits still admit (and park in
     /// `pending`), but the tenant is never pushed to a ready queue — the
@@ -648,7 +649,15 @@ class InferenceServer {
 
   using Shard = TableShard<Tenant>;
 
-  void worker_loop(std::stop_token stop, std::size_t worker_index);
+  /// A device group's ready queue (see the file header). `mu` is a leaf.
+  struct ReadyQueue {
+    std::mutex mu;
+    std::deque<std::shared_ptr<Tenant>> tenants;
+    std::counting_semaphore<> pushed{0};  ///< Released once per push.
+  };
+  /// The only producer; the caller set `scheduled` under the shard lock.
+  void make_ready(std::shared_ptr<Tenant> tenant);
+  void worker_loop(std::stop_token stop, ReadyQueue& queue);
   void run_batch(const std::shared_ptr<Tenant>& tenant);
   void process_one(Tenant& tenant, DeviceNode& node,
                    const host::ExecutionPlan& plan, Request& request,
@@ -781,11 +790,11 @@ class InferenceServer {
   /// budgets scale against this; spares only count once promoted.
   std::size_t primary_devices_ = 0;
 
-  /// Striped tenant/routing table — the only lock a submit takes.
+  /// Striped tenant/routing table — the one lock every submit takes.
   ShardedTable<Tenant> table_;
   AdmissionController admission_;
-  /// One token per tenant-became-ready transition; workers block here.
-  std::counting_semaphore<> work_sem_{0};
+  /// min(workers, devices) queues, indexed by device or worker mod size.
+  std::deque<ReadyQueue> ready_;
   std::atomic<TenantId> next_tenant_{1};
 
   // --- Observability state ---------------------------------------------------
@@ -832,9 +841,9 @@ class InferenceServer {
   static Instruments make_instruments(obs::MetricRegistry& registry);
   Instruments ins_;
 
-  /// Per-shard queue-depth / sojourn-time histograms
-  /// (serving_shard_{depth,sojourn_ms}{shard=K}), indexed by shard, created
-  /// at construction. Pointers into metrics_-owned storage.
+  /// Tenant FIFO depth / enqueue → pickup histograms labeled by routing
+  /// stripe (serving_shard_{depth,sojourn_ms}{shard=K}), indexed by shard,
+  /// created at construction. Pointers into metrics_-owned storage.
   std::vector<obs::Histogram*> shard_depth_;
   std::vector<obs::Histogram*> shard_sojourn_;
   /// Per-device request counters (serving_device_requests_total{device=K}).

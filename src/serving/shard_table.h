@@ -2,21 +2,18 @@
 //
 // The serving hot path (submit_async) must never take a process-global lock:
 // with thousands of tenants and many worker threads, one mutex in front of
-// the tenant map + ready queue serializes every enqueue and drain (the
-// pre-sharding server measured ~4k req/s with exactly that bottleneck).
-// ShardedTable stripes both structures: tenants hash to one of a fixed
-// power-of-two number of shards, each shard owning its own mutex, tenant map
-// and ready queue. A submit touches exactly one shard; workers drain their
-// preferred shard and steal from the others, so disjoint tenants contend
-// only when they happen to share a stripe.
+// the tenant map serializes every enqueue (the pre-sharding server measured
+// ~4k req/s with exactly that bottleneck). ShardedTable stripes the map:
+// tenants hash to one of a fixed power-of-two number of shards, each shard
+// owning its own mutex and tenant map. A submit touches exactly one shard,
+// so disjoint tenants contend only when they happen to share a stripe.
 //
-// The table is deliberately dumb: it owns no scheduling policy and no
-// admission state (see admission.h). Callers lock `Shard::mu` themselves so
-// multi-step transitions (admission check + enqueue + ready push) stay
-// atomic per shard.
+// The table is a pure routing table: it owns no scheduling policy (the
+// device-bound ready queues live in inference_server.h) and no admission
+// state (see admission.h). Callers lock `Shard::mu` themselves so multi-step
+// transitions (admission check + enqueue + ready flag) stay atomic per shard.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -39,16 +36,13 @@ constexpr u64 mix_tenant_id(u64 x) {
   return x ^ (x >> 31);
 }
 
-/// One stripe of the routing table. All three members are guarded by `mu`;
-/// callers lock it directly (see file header).
+/// One stripe of the routing table. `tenants` is guarded by `mu`; callers
+/// lock it directly (see file header).
 template <typename TenantT>
 struct TableShard {
   mutable std::mutex mu;
   /// Tenants whose id hashes to this stripe.
   std::unordered_map<TenantId, std::shared_ptr<TenantT>> tenants;
-  /// Tenants with queued work, awaiting a worker. At most one entry per
-  /// tenant (the owner sets `scheduled` under `mu`).
-  std::deque<std::shared_ptr<TenantT>> ready;
 };
 
 template <typename TenantT>

@@ -99,33 +99,11 @@ TEST(P256, DecodeRejectsMalformed) {
 }
 
 
-TEST(P256, LadderMatchesDoubleAndAdd) {
+TEST(P256, ScalarMultHandlesEdgeScalars) {
   const AffinePoint g = generator();
-  for (u64 k : {1ULL, 2ULL, 3ULL, 255ULL, 65537ULL, 123456789ULL}) {
-    EXPECT_EQ(ec_scalar_mult_ladder(U256::from_u64(k), g),
-              ec_scalar_mult(U256::from_u64(k), g))
-        << "k=" << k;
-  }
-}
-
-TEST(P256, LadderMatchesOnRandomScalars) {
-  HmacDrbg drbg = test_drbg(40);
-  const AffinePoint g = generator();
-  for (int i = 0; i < 4; ++i) {
-    const Bytes raw = drbg.generate(32);
-    U256 k = U256::from_bytes(raw);
-    U512 w;
-    for (int j = 0; j < 4; ++j) w.limb[j] = k.limb[j];
-    k = mod_reduce(w, p256().n);
-    EXPECT_EQ(ec_scalar_mult_ladder(k, g), ec_scalar_mult(k, g));
-  }
-}
-
-TEST(P256, LadderHandlesEdgeScalars) {
-  const AffinePoint g = generator();
-  EXPECT_TRUE(ec_scalar_mult_ladder(U256::zero(), g).infinity);
-  EXPECT_EQ(ec_scalar_mult_ladder(U256::one(), g), g);
-  EXPECT_TRUE(ec_scalar_mult_ladder(p256().n, g).infinity);
+  EXPECT_TRUE(ec_scalar_mult(U256::zero(), g).infinity);
+  EXPECT_EQ(ec_scalar_mult(U256::one(), g), g);
+  EXPECT_TRUE(ec_scalar_mult(p256().n, g).infinity);
 }
 
 // RFC 6979 A.2.5 / NIST CAVP-style P-256 known-answer material. The private
