@@ -192,6 +192,30 @@ void BM_EcdhAgreement(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdhAgreement)->Unit(benchmark::kMillisecond);
 
+// The two scalar-multiplication paths every EC operation above runs on:
+// fixed-base k*G (key generation, the ECDSA nonce, verify's u1) and
+// variable-base k*Q (ECDH, verify's u2).
+void BM_P256BaseMult(benchmark::State& state) {
+  HmacDrbg drbg(Bytes{7});
+  const U256 k = ecdsa_generate_key(drbg).private_key;
+  for (auto _ : state) {
+    auto point = ec_scalar_base_mult(k);
+    benchmark::DoNotOptimize(point);
+  }
+}
+BENCHMARK(BM_P256BaseMult)->Unit(benchmark::kMillisecond);
+
+void BM_P256ScalarMult(benchmark::State& state) {
+  HmacDrbg drbg(Bytes{8});
+  const U256 k = ecdsa_generate_key(drbg).private_key;
+  const AffinePoint q = ecdsa_generate_key(drbg).public_key;
+  for (auto _ : state) {
+    auto point = ec_scalar_mult(k, q);
+    benchmark::DoNotOptimize(point);
+  }
+}
+BENCHMARK(BM_P256ScalarMult)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace guardnn::crypto
 

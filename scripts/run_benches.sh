@@ -81,14 +81,20 @@ for line in pathlib.Path(manifest).read_text().splitlines():
         entry["stderr"] = stderr
     benches[name] = entry
 
+# bench_micro_crypto's google-benchmark results keyed by name, or None.
+def micro_crypto():
+    results = benches.get("bench_micro_crypto", {}).get("results")
+    if not isinstance(results, dict):
+        return None
+    return {r.get("name"): r for r in results.get("benchmarks", [])}
+
 # Structured crypto throughput (GB/s) pulled out of bench_micro_crypto, so
 # future PRs can diff crypto perf numerically instead of eyeballing stdout.
 def crypto_throughput():
-    entry = benches.get("bench_micro_crypto", {})
-    results = entry.get("results")
-    if not isinstance(results, dict):
+    by_name = micro_crypto()
+    if by_name is None:
         return None
-    by_name = {r.get("name"): r for r in results.get("benchmarks", [])}
+    results = benches["bench_micro_crypto"]["results"]
 
     def gbps(name):
         bps = by_name.get(name, {}).get("bytes_per_second")
@@ -109,6 +115,28 @@ def crypto_throughput():
         if backend:
             out[key] = backend
     return out
+
+# P-256 latencies (ms per operation) pulled out of bench_micro_crypto: the
+# public-key work behind every connect, re-wrap and migrate.
+def p256_ms():
+    by_name = micro_crypto()
+    if by_name is None:
+        return None
+    to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+    def ms(name):
+        r = by_name.get(name)
+        if not r or r.get("time_unit") not in to_ms:
+            return None
+        return round(r["real_time"] * to_ms[r["time_unit"]], 4)
+
+    return {
+        "ecdsa_sign": ms("BM_EcdsaSign"),
+        "ecdsa_verify": ms("BM_EcdsaVerify"),
+        "ecdh": ms("BM_EcdhAgreement"),
+        "base_mult": ms("BM_P256BaseMult"),
+        "scalar_mult": ms("BM_P256ScalarMult"),
+    }
 
 # Structured results pulled out of a bench's ##GUARDNN_BENCH_JSON## marker
 # line (the first one in its stdout).
@@ -160,6 +188,7 @@ doc = {
     "bench_count": len(benches),
     "failed": sorted(n for n, e in benches.items() if e["exit_code"] != 0),
     "crypto_throughput_gbps": crypto_throughput(),
+    "p256_ms": p256_ms(),
     "model_store": model_store(),
     "benches": benches,
 }

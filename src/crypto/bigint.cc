@@ -34,13 +34,6 @@ int U256::bit_length() const {
   return 0;
 }
 
-int U512::bit_length() const {
-  for (int i = 7; i >= 0; --i) {
-    if (limb[i] != 0) return 64 * i + 64 - std::countl_zero(limb[i]);
-  }
-  return 0;
-}
-
 int cmp(const U256& a, const U256& b) {
   for (int i = 3; i >= 0; --i) {
     if (a.limb[i] < b.limb[i]) return -1;
@@ -66,7 +59,7 @@ u64 sub(U256& out, const U256& a, const U256& b) {
     const unsigned __int128 d = static_cast<unsigned __int128>(a.limb[i]) -
                                 b.limb[i] - borrow;
     out.limb[i] = static_cast<u64>(d);
-    borrow = (d >> 64) ? 1 : 0;
+    borrow = static_cast<u64>(d >> 64) & 1;
   }
   return borrow;
 }
@@ -78,134 +71,6 @@ U256 shr1(const U256& a) {
     if (i < 3) out.limb[i] |= a.limb[i + 1] << 63;
   }
   return out;
-}
-
-U512 mul_wide(const U256& a, const U256& b) {
-  U512 out;
-  for (int i = 0; i < 4; ++i) {
-    u64 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const unsigned __int128 p =
-          static_cast<unsigned __int128>(a.limb[i]) * b.limb[j] +
-          out.limb[i + j] + carry;
-      out.limb[i + j] = static_cast<u64>(p);
-      carry = static_cast<u64>(p >> 64);
-    }
-    out.limb[i + 4] = carry;
-  }
-  return out;
-}
-
-namespace {
-
-// Subtracts (m << shift) from x in place; caller guarantees no underflow.
-void sub_shifted(U512& x, const U256& m, int shift) {
-  const int word_shift = shift / 64;
-  const int bit_shift = shift % 64;
-  u64 borrow = 0;
-  u64 prev = 0;
-  for (int i = 0; i < 5; ++i) {
-    u64 mw = i < 4 ? m.limb[i] : 0;
-    u64 shifted = bit_shift == 0 ? mw : (mw << bit_shift) | (prev >> (64 - bit_shift));
-    prev = mw;
-    const int idx = i + word_shift;
-    if (idx >= 8) break;
-    const unsigned __int128 d =
-        static_cast<unsigned __int128>(x.limb[idx]) - shifted - borrow;
-    x.limb[idx] = static_cast<u64>(d);
-    borrow = (d >> 64) ? 1 : 0;
-  }
-  for (int idx = word_shift + 5; idx < 8 && borrow; ++idx) {
-    const unsigned __int128 d = static_cast<unsigned __int128>(x.limb[idx]) - borrow;
-    x.limb[idx] = static_cast<u64>(d);
-    borrow = (d >> 64) ? 1 : 0;
-  }
-}
-
-// Compares x against (m << shift).
-int cmp_shifted(const U512& x, const U256& m, int shift) {
-  const int word_shift = shift / 64;
-  const int bit_shift = shift % 64;
-  // Build shifted m as 8 limbs (m is 4 limbs; shifted occupies <= 5+word_shift).
-  std::array<u64, 8> sm{};
-  u64 prev = 0;
-  for (int i = 0; i < 5; ++i) {
-    const u64 mw = i < 4 ? m.limb[i] : 0;
-    const u64 shifted = bit_shift == 0 ? mw : (mw << bit_shift) | (prev >> (64 - bit_shift));
-    prev = mw;
-    const int idx = i + word_shift;
-    if (idx < 8) sm[idx] = shifted;
-  }
-  for (int i = 7; i >= 0; --i) {
-    if (x.limb[i] < sm[i]) return -1;
-    if (x.limb[i] > sm[i]) return 1;
-  }
-  return 0;
-}
-
-}  // namespace
-
-U256 mod_reduce(const U512& x, const U256& m) {
-  if (m.is_zero()) throw std::invalid_argument("mod_reduce: zero modulus");
-  U512 rem = x;
-  const int mbits = m.bit_length();
-  int xbits = rem.bit_length();
-  while (xbits >= mbits) {
-    int shift = xbits - mbits;
-    if (cmp_shifted(rem, m, shift) < 0) {
-      if (shift == 0) break;
-      --shift;
-    }
-    sub_shifted(rem, m, shift);
-    xbits = rem.bit_length();
-  }
-  U256 out;
-  for (int i = 0; i < 4; ++i) out.limb[i] = rem.limb[i];
-  return out;
-}
-
-U256 add_mod(const U256& a, const U256& b, const U256& m) {
-  U256 s;
-  const u64 carry = add(s, a, b);
-  if (carry || cmp(s, m) >= 0) {
-    U256 r;
-    sub(r, s, m);
-    // A single subtraction suffices because a, b < m implies a+b < 2m.
-    return r;
-  }
-  return s;
-}
-
-U256 sub_mod(const U256& a, const U256& b, const U256& m) {
-  U256 d;
-  if (sub(d, a, b)) {
-    U256 r;
-    add(r, d, m);
-    return r;
-  }
-  return d;
-}
-
-U256 mul_mod(const U256& a, const U256& b, const U256& m) {
-  return mod_reduce(mul_wide(a, b), m);
-}
-
-U256 pow_mod(const U256& a, const U256& e, const U256& m) {
-  U256 result = U256::one();
-  U256 base = a;
-  const int bits = e.bit_length();
-  for (int i = 0; i < bits; ++i) {
-    if (e.bit(static_cast<unsigned>(i))) result = mul_mod(result, base, m);
-    base = mul_mod(base, base, m);
-  }
-  return result;
-}
-
-U256 inv_mod_prime(const U256& a, const U256& m) {
-  if (a.is_zero()) throw std::invalid_argument("inv_mod_prime: zero has no inverse");
-  U256 e;
-  sub(e, m, U256::from_u64(2));
-  return pow_mod(a, e, m);
 }
 
 }  // namespace guardnn::crypto

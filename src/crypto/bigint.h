@@ -1,6 +1,7 @@
-// Fixed-width 256-bit unsigned integer arithmetic with modular operations,
-// sized exactly for the NIST P-256 group used by GuardNN's device identity
-// (ECDSA) and session key exchange (ECDHE).
+// Fixed-width 256-bit unsigned integer, sized exactly for the NIST P-256
+// group used by GuardNN's device identity (ECDSA) and session key exchange
+// (ECDHE). The modular arithmetic on top of it is P-256-specific and lives in
+// p256.cc (Montgomery form mod p and mod n).
 #pragma once
 
 #include <array>
@@ -37,7 +38,7 @@ struct U256 {
   bool is_zero() const { return (limb[0] | limb[1] | limb[2] | limb[3]) == 0; }
   bool is_odd() const { return limb[0] & 1; }
   bool bit(unsigned i) const { return (limb[i / 64] >> (i % 64)) & 1; }
-  /// Index of the highest set bit, or -1 when zero.
+  /// Number of significant bits (0 for zero).
   int bit_length() const;
 
   friend bool operator==(const U256& a, const U256& b) { return a.limb == b.limb; }
@@ -46,34 +47,13 @@ struct U256 {
 /// Three-way comparison: -1, 0 or +1.
 int cmp(const U256& a, const U256& b);
 
-/// a + b; returns the carry-out (0 or 1).
+/// a + b; returns the carry-out (0 or 1). add and sub run the same
+/// instructions for every operand value (the P-256 code relies on this).
 u64 add(U256& out, const U256& a, const U256& b);
 /// a - b; returns the borrow-out (0 or 1).
 u64 sub(U256& out, const U256& a, const U256& b);
 
 /// Right shift by one bit.
 U256 shr1(const U256& a);
-
-/// 512-bit product container for the multiply-then-reduce path.
-struct U512 {
-  std::array<u64, 8> limb{};
-  bool bit(unsigned i) const { return (limb[i / 64] >> (i % 64)) & 1; }
-  int bit_length() const;
-};
-
-/// Full 256x256 -> 512-bit schoolbook multiply.
-U512 mul_wide(const U256& a, const U256& b);
-
-/// x mod m via binary long division. m must be non-zero.
-U256 mod_reduce(const U512& x, const U256& m);
-
-/// Modular arithmetic helpers; all operands must already be < m.
-U256 add_mod(const U256& a, const U256& b, const U256& m);
-U256 sub_mod(const U256& a, const U256& b, const U256& m);
-U256 mul_mod(const U256& a, const U256& b, const U256& m);
-/// a^e mod m (square-and-multiply).
-U256 pow_mod(const U256& a, const U256& e, const U256& m);
-/// a^-1 mod m for prime m (Fermat's little theorem). a must be non-zero.
-U256 inv_mod_prime(const U256& a, const U256& m);
 
 }  // namespace guardnn::crypto

@@ -32,10 +32,12 @@ SessionKeys derive_session_keys(const U256& shared_x, const AffinePoint& user_pu
   static const char* kLabel = "guardnn-session-v1";
   Bytes salt(kLabel, kLabel + 18);
 
-  const Bytes okm = hkdf(salt, ikm, info, 48);
+  Bytes okm = hkdf(salt, ikm, info, 48);
   SessionKeys keys;
   std::copy(okm.begin(), okm.begin() + 16, keys.enc_key.begin());
   std::copy(okm.begin() + 16, okm.end(), keys.mac_key.begin());
+  secure_zero(ikm.data(), ikm.size());
+  secure_zero(okm.data(), okm.size());
   return keys;
 }
 

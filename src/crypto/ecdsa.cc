@@ -1,32 +1,39 @@
 #include "crypto/ecdsa.h"
 
-#include <stdexcept>
+#include <algorithm>
 
 #include "crypto/hmac.h"
+#include "crypto/p256_internal.h"
 
 namespace guardnn::crypto {
 namespace {
 
-// Reduces a 32-byte digest into a scalar mod n (simple truncation + reduce,
-// adequate for a 256-bit curve with a 256-bit hash).
+// z = digest mod n. A 256-bit digest is below 2n, so one conditional
+// subtraction reduces it.
 U256 digest_to_scalar(const Sha256Digest& digest) {
-  const U256 z = U256::from_bytes(BytesView(digest.data(), digest.size()));
-  U512 wide;
-  for (int i = 0; i < 4; ++i) wide.limb[i] = z.limb[i];
-  return mod_reduce(wide, p256().n);
+  return detail::scalar_reduce(U256::from_bytes(BytesView(digest.data(), digest.size())));
+}
+
+// a < b, read from the borrow of a - b (no early exit on the limbs).
+bool less_than(const U256& a, const U256& b) {
+  U256 diff;
+  return sub(diff, a, b) == 1;
 }
 
 // Deterministic nonce derivation in the spirit of RFC 6979: an HMAC-DRBG
-// keyed by (private key || digest) generates candidate nonces.
+// keyed by (private key || digest) generates candidate nonces. The seed and
+// every candidate are wiped before they are freed.
 U256 derive_nonce(const U256& private_key, const Sha256Digest& digest) {
-  Bytes seed = private_key.to_bytes();
-  seed.insert(seed.end(), digest.begin(), digest.end());
+  Bytes seed(64);
+  for (int i = 0; i < 4; ++i) store_be64(seed.data() + 8 * i, private_key.limb[3 - i]);
+  std::copy(digest.begin(), digest.end(), seed.begin() + 32);
   HmacDrbg drbg(seed, Bytes{'e', 'c', 'd', 's', 'a', '-', 'k'});
-  const U256& n = p256().n;
+  secure_zero(seed.data(), seed.size());
   for (;;) {
-    const Bytes candidate = drbg.generate(32);
-    U256 k = U256::from_bytes(candidate);
-    if (!k.is_zero() && cmp(k, n) < 0) return k;
+    Bytes candidate = drbg.generate(32);
+    const U256 k = U256::from_bytes(candidate);
+    secure_zero(candidate.data(), candidate.size());
+    if (!k.is_zero() && less_than(k, p256().n)) return k;
   }
 }
 
@@ -48,11 +55,11 @@ std::optional<EcdsaSignature> EcdsaSignature::from_bytes(BytesView bytes) {
 }
 
 EcdsaKeyPair ecdsa_generate_key(HmacDrbg& drbg) {
-  const U256& n = p256().n;
   for (;;) {
-    const Bytes raw = drbg.generate(32);
-    U256 d = U256::from_bytes(raw);
-    if (d.is_zero() || cmp(d, n) >= 0) continue;
+    Bytes raw = drbg.generate(32);
+    const U256 d = U256::from_bytes(raw);
+    secure_zero(raw.data(), raw.size());
+    if (d.is_zero() || !less_than(d, p256().n)) continue;
     EcdsaKeyPair kp;
     kp.private_key = d;
     kp.public_key = ec_scalar_base_mult(d);
@@ -61,26 +68,24 @@ EcdsaKeyPair ecdsa_generate_key(HmacDrbg& drbg) {
 }
 
 EcdsaSignature ecdsa_sign_digest(const U256& private_key, const Sha256Digest& digest) {
-  const U256& n = p256().n;
   const U256 z = digest_to_scalar(digest);
   Sha256Digest tweaked = digest;
   for (;;) {
-    const U256 k = derive_nonce(private_key, tweaked);
-    const AffinePoint kg = ec_scalar_base_mult(k);
-    U512 rx_wide;
-    for (int i = 0; i < 4; ++i) rx_wide.limb[i] = kg.x.limb[i];
-    const U256 r = mod_reduce(rx_wide, n);
+    U256 k = derive_nonce(private_key, tweaked);
+    const U256 r = detail::scalar_reduce(ec_scalar_base_mult(k).x);
+    U256 k_inv = detail::scalar_inv(k);
+    const U256 s = detail::scalar_mul(
+        k_inv, detail::scalar_add(z, detail::scalar_mul(r, private_key)));
+    secure_zero(&k, sizeof k);
+    secure_zero(&k_inv, sizeof k_inv);
+    // r or s is zero with probability ~2^-256; re-derive with a tweak.
     if (r.is_zero()) {
-      tweaked[0] ^= 0x01;  // Extremely unlikely; re-derive with a tweak.
-      continue;
-    }
-    const U256 k_inv = inv_mod_prime(k, n);
-    const U256 s = mul_mod(k_inv, add_mod(z, mul_mod(r, private_key, n), n), n);
-    if (s.is_zero()) {
+      tweaked[0] ^= 0x01;
+    } else if (s.is_zero()) {
       tweaked[0] ^= 0x02;
-      continue;
+    } else {
+      return EcdsaSignature{r, s};
     }
-    return EcdsaSignature{r, s};
   }
 }
 
@@ -96,15 +101,11 @@ bool ecdsa_verify_digest(const AffinePoint& public_key, const Sha256Digest& dige
   if (cmp(sig.r, n) >= 0 || cmp(sig.s, n) >= 0) return false;
 
   const U256 z = digest_to_scalar(digest);
-  const U256 s_inv = inv_mod_prime(sig.s, n);
-  const U256 u1 = mul_mod(z, s_inv, n);
-  const U256 u2 = mul_mod(sig.r, s_inv, n);
-  const AffinePoint point =
-      ec_add(ec_scalar_base_mult(u1), ec_scalar_mult(u2, public_key));
+  const U256 s_inv = detail::scalar_inv(sig.s);
+  const AffinePoint point = detail::ec_base_mult_add(
+      detail::scalar_mul(z, s_inv), detail::scalar_mul(sig.r, s_inv), public_key);
   if (point.infinity) return false;
-  U512 x_wide;
-  for (int i = 0; i < 4; ++i) x_wide.limb[i] = point.x.limb[i];
-  return mod_reduce(x_wide, n) == sig.r;
+  return detail::scalar_reduce(point.x) == sig.r;
 }
 
 bool ecdsa_verify(const AffinePoint& public_key, BytesView message,

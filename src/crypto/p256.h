@@ -47,11 +47,13 @@ bool on_curve(const AffinePoint& pt);
 /// Point addition (complete: handles doubling, inverses, infinity).
 AffinePoint ec_add(const AffinePoint& a, const AffinePoint& b);
 
-/// Scalar multiplication k*P using Jacobian coordinates internally
-/// (double-and-add; fast path for simulation-side verification).
+/// Scalar multiplication k*P for any 256-bit k. Constant-time in k: a fixed
+/// 4-bit window over all 64 windows with a masked table lookup, on complete
+/// projective formulas, so the work done does not depend on k's value.
 AffinePoint ec_scalar_mult(const U256& k, const AffinePoint& point);
 
-/// k*G for the P-256 generator.
+/// k*G for the P-256 generator; constant-time in k like ec_scalar_mult, using
+/// a table of multiples of G built on first use (64 additions, no doublings).
 AffinePoint ec_scalar_base_mult(const U256& k);
 
 /// Serializes as uncompressed SEC1 (0x04 || X || Y), 65 bytes.

@@ -280,8 +280,9 @@ InferenceServer::ConnectResult InferenceServer::connect(
           {
             std::lock_guard<std::mutex> lock(shard.mu);
             shard.tenants.emplace(id, std::move(entry));
+            devices_[best]->tenant_count.fetch_add(
+                1, std::memory_order_relaxed);
           }
-          devices_[best]->tenant_count.fetch_add(1, std::memory_order_relaxed);
           result.tenant = id;
           return accel::DeviceStatus::kOk;
         });
@@ -332,8 +333,9 @@ InferenceServer::ConnectResult InferenceServer::reconnect(
           // session back and report the id as already live.
           if (!shard.tenants.emplace(tenant, std::move(entry)).second)
             return accel::DeviceStatus::kNoSession;
+          devices_[target]->tenant_count.fetch_add(
+              1, std::memory_order_relaxed);
         }
-        devices_[target]->tenant_count.fetch_add(1, std::memory_order_relaxed);
         return accel::DeviceStatus::kOk;
       });
   if (result.response.status != accel::DeviceStatus::kOk) return result;
@@ -622,9 +624,12 @@ std::shared_ptr<InferenceServer::Tenant> InferenceServer::retire(
     entry->teardown_outcome = outcome;
     if (!entry->scheduled) orphaned.swap(entry->pending);
     shard.tenants.erase(tenant);
+    // Counted in the same critical section as the erase: reset_device's
+    // purge takes this lock before it stores 0, so the decrement cannot
+    // land after that store and wrap the count.
+    devices_[entry->device_index]->tenant_count.fetch_sub(
+        1, std::memory_order_relaxed);
   }
-  devices_[entry->device_index]->tenant_count.fetch_sub(
-      1, std::memory_order_relaxed);
   drain(orphaned, outcome);
   return entry;
 }
@@ -1373,19 +1378,8 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
       ins_.e2e_ms.record(results[i].queue_ms + results[i].service_ms);
     resolve_one(batch[i], std::move(results[i]));
   }
-  if (abort_from < batch.size()) {
-    for (std::size_t i = abort_from; i < batch.size(); ++i) {
-      InferenceResult result;
-      result.outcome = abort_outcome;
-      result.device_status = abort_status;
-      using MsDouble = std::chrono::duration<double, std::milli>;
-      result.queue_ms = MsDouble(picked_up - batch[i].enqueued).count();
-      result.service_ms = MsDouble(done - picked_up).count();
-      resolve_one(batch[i], std::move(result));
-    }
-    if (abort_outcome == RequestOutcome::kTimeout)
-      ins_.timeouts.inc(batch.size() - abort_from);
-  }
+  if (abort_outcome == RequestOutcome::kTimeout)
+    ins_.timeouts.inc(batch.size() - abort_from);
   // A wounded session tears the tenant down before the tail below, so the
   // drain resolves with teardown_outcome == kDeviceFailover and a failover
   // record is registered for reconnect().
@@ -1415,6 +1409,18 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
       // the migrating thread between replay batches instead of a worker.
       tenant->scheduled = false;
     }
+  }
+  // The aborted requests resolve only after the FIFO behind them left the
+  // tenant above: a client that sees its timeout and resubmits must reach a
+  // fresh FIFO, not the one this expiry drains.
+  for (std::size_t i = abort_from; i < batch.size(); ++i) {
+    InferenceResult result;
+    result.outcome = abort_outcome;
+    result.device_status = abort_status;
+    using MsDouble = std::chrono::duration<double, std::milli>;
+    result.queue_ms = MsDouble(picked_up - batch[i].enqueued).count();
+    result.service_ms = MsDouble(done - picked_up).count();
+    resolve_one(batch[i], std::move(result));
   }
   if (wake) make_ready(tenant);
   drain(orphaned, orphan_outcome);

@@ -589,6 +589,8 @@ class InferenceServer {
     /// serialize — but pairs of *other* devices do not (std::scoped_lock
     /// over source+target; see replicate_model).
     std::mutex provision_mu;
+    /// Tenants routed here. Changed only in the shard critical section that
+    /// adds or erases a tenant, and zeroed by reset_device after its purge.
     std::atomic<std::size_t> tenant_count{0};
     /// DeviceHealth, advanced lock-free by whoever observes a device call's
     /// result; the monitor thread does the heavyweight transition work.
@@ -701,8 +703,9 @@ class InferenceServer {
       const store::ContentId& content, const host::ExecutionPlan& plan,
       const std::shared_ptr<const host::FuncNetwork>& net);
   /// The retire path: under the shard lock, flips the entry `pick` selects
-  /// closed with `outcome` and erases it, then drops tenant_count and drains
-  /// the queue unless a worker or migration owns it. nullptr: none picked.
+  /// closed with `outcome`, erases it and drops its device's tenant_count;
+  /// then drains the queue unless a worker or migration owns it. nullptr:
+  /// none picked.
   std::shared_ptr<Tenant> retire(
       TenantId tenant, RequestOutcome outcome,
       const std::function<std::shared_ptr<Tenant>(Shard&)>& pick);

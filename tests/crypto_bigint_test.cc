@@ -2,9 +2,12 @@
 
 #include "common/rng.h"
 #include "crypto/bigint.h"
+#include "p256_oracle.h"
 
 namespace guardnn::crypto {
 namespace {
+
+using namespace oracle;
 
 U256 random_u256(guardnn::Xoshiro256& rng) {
   U256 v;

@@ -4,9 +4,14 @@
 #include "crypto/ecdh.h"
 #include "crypto/ecdsa.h"
 #include "crypto/p256.h"
+#include "p256_oracle.h"
 
 namespace guardnn::crypto {
 namespace {
+
+using oracle::add_mod;
+using oracle::mul_mod;
+using oracle::sub_mod;
 
 AffinePoint generator() {
   AffinePoint g;

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "host/scheduler.h"
 #include "host/user_client.h"
+#include "p256_oracle.h"
 
 namespace guardnn::host {
 namespace {
@@ -648,8 +649,8 @@ TEST(Attestation, ForgedSignatureRejected) {
   mirror_attestation(bench.user, plan);
   accel::SignOutputResponse report;
   ASSERT_EQ(bench.device.sign_output(sid, report), DeviceStatus::kOk);
-  report.signature.r = crypto::add_mod(report.signature.r, crypto::U256::one(),
-                                       crypto::p256().n);
+  report.signature.r = crypto::oracle::add_mod(report.signature.r, crypto::U256::one(),
+                                               crypto::p256().n);
   EXPECT_FALSE(bench.user.verify_attestation(report));
 }
 

@@ -7,6 +7,7 @@
 // in-flight futures — zero hangs. Runs under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -670,6 +671,51 @@ TEST(WorkerOwnedTeardown, ResetLeavesQueuedTenantToItsWorker) {
   EXPECT_TRUE(eventually([&] {
     return server.pending_requests() == 0 && server.pending_bytes() == 0;
   }));
+}
+
+TEST(WorkerOwnedTeardown, DisconnectsRacingResetKeepTenantCountInRange) {
+  // A disconnect that erases its tenant before reset_device purges that
+  // shard must not decrement the device's tenant count after the reset
+  // zeroed it: a wrapped count (2^64-1) would misroute every later connect.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 1;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+  auto device_tenants = [&] {
+    for (const obs::MetricSample& m : server.telemetry().metrics)
+      if (m.name == "device_tenants" && m.labels == obs::Labels{{"device", "0"}})
+        return m.gauge;
+    return -1.0;
+  };
+
+  constexpr int kRounds = 10;
+  constexpr int kTenants = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<TenantClient> clients(kTenants);
+    for (int i = 0; i < kTenants; ++i)
+      ASSERT_TRUE(clients[i].connect(server, env.ca.public_key(),
+                                     10500 + static_cast<u64>(round * kTenants + i)));
+    ASSERT_EQ(device_tenants(), static_cast<double>(kTenants));
+
+    std::atomic<bool> stop{false};
+    double max_seen = 0.0;
+    std::thread sampler([&] {
+      while (!stop.load()) max_seen = std::max(max_seen, device_tenants());
+    });
+    std::thread disconnector([&] {
+      for (const TenantClient& client : clients) server.disconnect(client.tenant);
+    });
+    // Reset while the disconnects are under way: once the first has landed.
+    while (device_tenants() >= kTenants) std::this_thread::yield();
+    EXPECT_EQ(server.reset_device(0), DeviceStatus::kOk);
+    disconnector.join();
+    stop.store(true);
+    sampler.join();
+
+    EXPECT_LE(max_seen, static_cast<double>(kTenants)) << "round " << round;
+    EXPECT_EQ(device_tenants(), 0.0) << "round " << round;
+  }
 }
 
 // --- Device-bound ready queues -----------------------------------------------

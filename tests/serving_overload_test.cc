@@ -116,8 +116,8 @@ TEST(ShardedRouting, SixtyFourTenantsEightWorkersConcurrentSubmits) {
   // 64 tenants (filling 4 devices' 16-slot session tables) submit from 64
   // client threads against 8 workers. Run under ThreadSanitizer in CI, this
   // exercises every shard transition concurrently: striped enqueue, the
-  // semaphore wakeups, cross-shard work stealing, and the plan cache (all
-  // tenants serve the same architecture).
+  // device-bound ready queues and their per-queue wakeups, and the plan
+  // cache (all tenants serve the same architecture).
   constexpr std::size_t kTenants = 64;
   constexpr std::size_t kRequests = 4;
   Env env;
