@@ -81,12 +81,24 @@ for line in pathlib.Path(manifest).read_text().splitlines():
         entry["stderr"] = stderr
     benches[name] = entry
 
-# bench_micro_crypto's google-benchmark results keyed by name, or None.
-def micro_crypto():
-    results = benches.get("bench_micro_crypto", {}).get("results")
+# A google-benchmark binary's results keyed by name, or None.
+def gbench(bench_name):
+    results = benches.get(bench_name, {}).get("results")
     if not isinstance(results, dict):
         return None
     return {r.get("name"): r for r in results.get("benchmarks", [])}
+
+def micro_crypto():
+    return gbench("bench_micro_crypto")
+
+# Real time of one google-benchmark case in ms per call, or None.
+TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+def ms(by_name, name, digits=4):
+    r = by_name.get(name)
+    if not r or r.get("time_unit") not in TO_MS:
+        return None
+    return round(r["real_time"] * TO_MS[r["time_unit"]], digits)
 
 # Structured crypto throughput (GB/s) pulled out of bench_micro_crypto, so
 # future PRs can diff crypto perf numerically instead of eyeballing stdout.
@@ -122,20 +134,30 @@ def p256_ms():
     by_name = micro_crypto()
     if by_name is None:
         return None
-    to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
-
-    def ms(name):
-        r = by_name.get(name)
-        if not r or r.get("time_unit") not in to_ms:
-            return None
-        return round(r["real_time"] * to_ms[r["time_unit"]], 4)
-
     return {
-        "ecdsa_sign": ms("BM_EcdsaSign"),
-        "ecdsa_verify": ms("BM_EcdsaVerify"),
-        "ecdh": ms("BM_EcdhAgreement"),
-        "base_mult": ms("BM_P256BaseMult"),
-        "scalar_mult": ms("BM_P256ScalarMult"),
+        "ecdsa_sign": ms(by_name, "BM_EcdsaSign"),
+        "ecdsa_verify": ms(by_name, "BM_EcdsaVerify"),
+        "ecdh": ms(by_name, "BM_EcdhAgreement"),
+        "base_mult": ms(by_name, "BM_P256BaseMult"),
+        "scalar_mult": ms(by_name, "BM_P256ScalarMult"),
+    }
+
+# int8 kernel latencies (ms per call) pulled out of bench_micro_kernels: the
+# device datapath's compute at the fleetbench model shapes, with the
+# conv2d_direct oracle beside the GEMM path it checks.
+def kernels_ms():
+    by_name = gbench("bench_micro_kernels")
+    if by_name is None:
+        return None
+    conv = "BM_Conv2d%s/in_c:%d/out_c:%d/hw:%d"
+    fc = "BM_FullyConnected/in:%d/out:%d"
+    return {
+        "conv2d_gemm_3to4_8x8": ms(by_name, conv % ("Gemm", 3, 4, 8), 5),
+        "conv2d_gemm_3to16_32x32": ms(by_name, conv % ("Gemm", 3, 16, 32), 5),
+        "conv2d_gemm_16to16_32x32": ms(by_name, conv % ("Gemm", 16, 16, 32), 5),
+        "conv2d_direct_16to16_32x32": ms(by_name, conv % ("Direct", 16, 16, 32), 5),
+        "fully_connected_4096to64": ms(by_name, fc % (4096, 64), 5),
+        "fully_connected_8192to1024": ms(by_name, fc % (8192, 1024), 5),
     }
 
 # Structured results pulled out of a bench's ##GUARDNN_BENCH_JSON## marker
@@ -189,6 +211,7 @@ doc = {
     "failed": sorted(n for n, e in benches.items() if e["exit_code"] != 0),
     "crypto_throughput_gbps": crypto_throughput(),
     "p256_ms": p256_ms(),
+    "kernels_ms": kernels_ms(),
     "model_store": model_store(),
     "benches": benches,
 }

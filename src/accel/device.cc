@@ -234,6 +234,12 @@ const GuardNnDevice::Session* GuardNnDevice::find_session(SessionId sid) const {
 }
 
 bool GuardNnDevice::translate(const Session& s, u64 addr, u64 bytes, u64& phys) {
+  // The MPU serves regions that start on a protection chunk with integrity
+  // on and on an AES block without it; partitions start on a chunk, so the
+  // session-local address alone decides.
+  const u64 align = s.mpu.integrity_enabled() ? MemoryProtectionUnit::kChunkBytes
+                                              : crypto::kAesBlockBytes;
+  if (addr % align != 0) return false;
   if (addr >= kSessionDramBytes || bytes > kSessionDramBytes - addr) return false;
   phys = s.dram_base + addr;
   return true;
@@ -369,44 +375,28 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
     return DeviceStatus::kOk;
   }
 
-  // Read the input with the host-supplied read counter; a missing or wrong
-  // value decrypts to garbage but never leaks (Section II-D.2).
-  const u64 input_vn = s.vn.feature_read_vn(op.input_addr).value_or(0);
-  Tensor input(op.in_c, op.in_h, op.in_w, op.bits);
-  {
-    Bytes buffer(pad_region(input.size()));
-    u64 phys = 0;
-    if (!translate(s, op.input_addr, buffer.size(), phys))
-      return DeviceStatus::kBadOperand;
-    if (!s.mpu.read(phys, buffer, input_vn)) {
-      s.dead = true;
-      return DeviceStatus::kIntegrityFailure;
-    }
-    std::copy(buffer.begin(), buffer.begin() + static_cast<long>(input.size()),
-              reinterpret_cast<u8*>(input.data().data()));
-  }
-
-  // Reads a weight blob of `size` bytes through the MPU into `dst`.
+  // Every operand streams through the MPU straight into its tensor or
+  // weight buffer: the stream verifies the chunk-padded region (same trace,
+  // MAC slots and byte counts as one read of it) and drops the pad tail, so
+  // no padded staging copy exists.
   enum class ReadResult : u8 { kOk, kBadOperand, kIntegrity };
-  auto read_weights = [&](u64 addr, std::size_t size, i8* dst) {
-    Bytes buffer(pad_region(size));
+  auto read_operand = [&](u64 addr, std::size_t size, u64 vn, i8* dst) {
     u64 phys = 0;
-    if (!translate(s, addr, buffer.size(), phys)) return ReadResult::kBadOperand;
-    if (!s.mpu.read(phys, buffer, s.vn.weight_vn())) return ReadResult::kIntegrity;
-    std::copy(buffer.begin(), buffer.begin() + static_cast<long>(size),
-              reinterpret_cast<u8*>(dst));
+    if (!translate(s, addr, pad_region(size), phys)) return ReadResult::kBadOperand;
+    MpuExportStream stream(s.mpu, phys, size, vn);
+    if (!stream.next(MutBytesView(reinterpret_cast<u8*>(dst), size)) ||
+        !stream.finish())
+      return ReadResult::kIntegrity;
     return ReadResult::kOk;
   };
-  // Reads a second feature operand with its host-supplied read counter.
-  auto read_feature2 = [&](u64 addr, std::size_t size, i8* dst) {
-    Bytes buffer(pad_region(size));
-    u64 phys = 0;
-    if (!translate(s, addr, buffer.size(), phys)) return ReadResult::kBadOperand;
-    const u64 vn2 = s.vn.feature_read_vn(addr).value_or(0);
-    if (!s.mpu.read(phys, buffer, vn2)) return ReadResult::kIntegrity;
-    std::copy(buffer.begin(), buffer.begin() + static_cast<long>(size),
-              reinterpret_cast<u8*>(dst));
-    return ReadResult::kOk;
+  // Weights carry the on-chip CTR_W; features the host-supplied read
+  // counter, where a missing or wrong value decrypts to garbage but never
+  // leaks (Section II-D.2).
+  auto read_weights = [&](u64 addr, std::size_t size, i8* dst) {
+    return read_operand(addr, size, s.vn.weight_vn(), dst);
+  };
+  auto read_feature = [&](u64 addr, std::size_t size, i8* dst) {
+    return read_operand(addr, size, s.vn.feature_read_vn(addr).value_or(0), dst);
   };
   auto fail = [&](ReadResult r) {
     if (r == ReadResult::kIntegrity) {
@@ -416,9 +406,12 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
     return DeviceStatus::kBadOperand;
   };
 
+  Tensor input(op.in_c, op.in_h, op.in_w, op.bits);
+  if (auto r = read_feature(op.input_addr, input.size(), input.data().data());
+      r != ReadResult::kOk)
+    return fail(r);
+
   Tensor result;
-  std::vector<i8> fc_result;
-  bool is_fc = false;
 
   // Operand combinations the base accelerator cannot execute (kernel larger
   // than the tensor, mismatched gradient shapes, ...) are rejected as
@@ -445,9 +438,10 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
                                 weights.data.data());
           r != ReadResult::kOk)
         return fail(r);
-      std::vector<i8> flat(input.data().begin(), input.data().end());
-      fc_result = functional::fully_connected(flat, weights, op.requant_shift, op.bits);
-      is_fc = true;
+      const std::vector<i8> y =
+          functional::fully_connected(input.data(), weights, op.requant_shift, op.bits);
+      result = Tensor(op.out_c, 1, 1, op.bits);
+      std::copy(y.begin(), y.end(), result.data().begin());
       break;
     }
     case ForwardOp::Kind::kRelu:
@@ -475,8 +469,8 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
     case ForwardOp::Kind::kAdd: {
       // Second operand: same geometry, host-supplied read counter.
       Tensor second(op.in_c, op.in_h, op.in_w, op.bits);
-      if (auto r = read_feature2(op.input2_addr, second.size(),
-                                 second.data().data());
+      if (auto r = read_feature(op.input2_addr, second.size(),
+                                second.data().data());
           r != ReadResult::kOk)
         return fail(r);
       result = functional::tensor_add(input, second);
@@ -493,9 +487,8 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
                                 weights.data.data());
           r != ReadResult::kOk)
         return fail(r);
-      const std::vector<i8> d_out(input.data().begin(), input.data().end());
       const std::vector<i8> d_in = functional::fc_backward_input(
-          d_out, weights, op.requant_shift, op.bits);
+          input.data(), weights, op.requant_shift, op.bits);
       result = Tensor(op.aux_c, op.aux_h, op.aux_w, op.bits);
       std::copy(d_in.begin(), d_in.end(), result.data().begin());
       break;
@@ -505,13 +498,11 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
       if (op.aux_c <= 0 || op.aux_h <= 0 || op.aux_w <= 0)
         return DeviceStatus::kBadOperand;
       Tensor x(op.aux_c, op.aux_h, op.aux_w, op.bits);
-      if (auto r = read_feature2(op.input2_addr, x.size(), x.data().data());
+      if (auto r = read_feature(op.input2_addr, x.size(), x.data().data());
           r != ReadResult::kOk)
         return fail(r);
-      const std::vector<i8> d_out(input.data().begin(), input.data().end());
-      const std::vector<i8> flat_x(x.data().begin(), x.data().end());
       const FcWeights grads = functional::fc_backward_weights(
-          d_out, flat_x, op.requant_shift, op.bits);
+          input.data(), x.data(), op.requant_shift, op.bits);
       result = Tensor(1, 1, static_cast<int>(grads.data.size()), op.bits);
       std::copy(grads.data.begin(), grads.data.end(), result.data().begin());
       break;
@@ -535,7 +526,7 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
       if (op.aux_c <= 0 || op.aux_h <= 0 || op.aux_w <= 0 || op.kernel <= 0)
         return DeviceStatus::kBadOperand;
       Tensor x(op.aux_c, op.aux_h, op.aux_w, op.bits);
-      if (auto r = read_feature2(op.input2_addr, x.size(), x.data().data());
+      if (auto r = read_feature(op.input2_addr, x.size(), x.data().data());
           r != ReadResult::kOk)
         return fail(r);
       const ConvWeights grads = functional::conv2d_backward_weights(
@@ -550,7 +541,7 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
       if (op.aux_c <= 0 || op.aux_h <= 0 || op.aux_w <= 0)
         return DeviceStatus::kBadOperand;
       Tensor x(op.aux_c, op.aux_h, op.aux_w, op.bits);
-      if (auto r = read_feature2(op.input2_addr, x.size(), x.data().data());
+      if (auto r = read_feature(op.input2_addr, x.size(), x.data().data());
           r != ReadResult::kOk)
         return fail(r);
       result = op.kind == ForwardOp::Kind::kReluDx
@@ -567,22 +558,15 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
     return DeviceStatus::kBadOperand;
   }
 
-  // Write the output with the on-chip feature-write VN, then advance CTR_F,W.
-  const u64 out_vn = s.vn.feature_write_vn();
-  const std::size_t out_size = is_fc ? fc_result.size() : result.size();
-  Bytes buffer(pad_region(out_size), 0);
-  if (is_fc) {
-    std::copy(fc_result.begin(), fc_result.end(),
-              reinterpret_cast<i8*>(buffer.data()));
-  } else {
-    std::copy(result.data().begin(), result.data().end(),
-              reinterpret_cast<i8*>(buffer.data()));
-  }
+  // Stream the output through the MPU with the on-chip feature-write VN
+  // (the stream zero-pads the last chunk), then advance CTR_F,W.
   u64 out_phys = 0;
-  if (!translate(s, op.output_addr, buffer.size(), out_phys))
+  if (!translate(s, op.output_addr, pad_region(result.size()), out_phys))
     return DeviceStatus::kBadOperand;
-  s.invalidate_hash_cache_on_write(op.output_addr, buffer.size());
-  s.mpu.write(out_phys, buffer, out_vn);
+  s.invalidate_hash_cache_on_write(op.output_addr, result.size());
+  MpuImportStream writer(s.mpu, out_phys, result.size(), s.vn.feature_write_vn());
+  writer.next(result.bytes());
+  writer.finish();
   s.vn.on_forward_write();
 
   s.chain.absorb(Opcode::kForward, op.serialize());

@@ -383,7 +383,9 @@ class GuardNnDevice {
 
   /// Maps a session-local address range into the session's physical DRAM
   /// partition. Returns false (→ kBadOperand) when the range leaves the
-  /// partition.
+  /// partition or the address breaks the MPU's alignment rule (512 B with
+  /// integrity on, 16 B with it off), so no instruction hands the MPU an
+  /// address it would throw on.
   static bool translate(const Session& s, u64 addr, u64 bytes, u64& phys);
 
   DeviceStatus import_region(Session& s, const crypto::SealedRecord& record,

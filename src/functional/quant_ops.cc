@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace guardnn::functional {
 namespace {
@@ -12,6 +13,16 @@ int conv_out_dim(int in, int kernel, int stride, int pad) {
   const int out = (in + 2 * pad - kernel) / stride + 1;
   if (out <= 0) throw std::invalid_argument("conv: non-positive output dim");
   return out;
+}
+
+/// The output positions o in [0, out) whose input coordinate o*stride + off
+/// lies inside [0, in), as a half-open range [lo, hi). Computed in 64 bits so
+/// a hostile stride or pad cannot wrap it.
+std::pair<int, int> in_bounds(int off, int stride, int in, int out) {
+  const long long o = off, s = stride;
+  const long long lo = o >= 0 ? 0 : (-o + s - 1) / s;
+  const long long hi = o >= in ? 0 : std::min<long long>(out, (in - 1 - o) / s + 1);
+  return {static_cast<int>(std::min(lo, hi)), static_cast<int>(hi)};
 }
 
 }  // namespace
@@ -55,40 +66,59 @@ Tensor conv2d_gemm(const Tensor& input, const ConvWeights& weights, int stride,
                    int pad, int requant_shift) {
   if (weights.in_c != input.channels())
     throw std::invalid_argument("conv2d: channel mismatch");
-  const int oh = conv_out_dim(input.height(), weights.kernel, stride, pad);
-  const int ow = conv_out_dim(input.width(), weights.kernel, stride, pad);
+  const int h = input.height();
+  const int w = input.width();
+  const int oh = conv_out_dim(h, weights.kernel, stride, pad);
+  const int ow = conv_out_dim(w, weights.kernel, stride, pad);
   const int k2 = weights.kernel * weights.kernel;
   const std::size_t cols = static_cast<std::size_t>(oh) * ow;       // M
   const std::size_t rows = static_cast<std::size_t>(weights.in_c) * k2;  // K
 
-  // im2col: patch matrix [K x M].
+  // im2col: patch matrix [K x M], zero wherever the window overhangs the
+  // input. Row (ic, ky, kx) reads input row oy*stride + ky - pad at columns
+  // ox*stride + kx - pad; the in-bounds ranges of oy and ox depend only on
+  // (ky, kx), so each output row is one bounds decision and one copy, a
+  // contiguous one at stride 1.
   std::vector<i8> patches(rows * cols);
-  std::size_t r = 0;
+  i8* row = patches.data();
   for (int ic = 0; ic < weights.in_c; ++ic) {
+    const i8* plane = input.data().data() + static_cast<std::size_t>(ic) * h * w;
     for (int ky = 0; ky < weights.kernel; ++ky) {
-      for (int kx = 0; kx < weights.kernel; ++kx, ++r) {
-        std::size_t m = 0;
-        for (int oy = 0; oy < oh; ++oy) {
-          for (int ox = 0; ox < ow; ++ox, ++m) {
-            patches[r * cols + m] =
-                input.at_padded(ic, oy * stride + ky - pad, ox * stride + kx - pad);
+      const auto [oy_lo, oy_hi] = in_bounds(ky - pad, stride, h, oh);
+      for (int kx = 0; kx < weights.kernel; ++kx, row += cols) {
+        const auto [ox_lo, ox_hi] = in_bounds(kx - pad, stride, w, ow);
+        for (int oy = oy_lo; oy < oy_hi; ++oy) {
+          const i8* src = plane + static_cast<std::size_t>(oy * stride + ky - pad) * w;
+          i8* dst = row + static_cast<std::size_t>(oy) * ow;
+          if (stride == 1) {
+            std::copy_n(src + (ox_lo + kx - pad), ox_hi - ox_lo, dst + ox_lo);
+          } else {
+            for (int ox = ox_lo; ox < ox_hi; ++ox) dst[ox] = src[ox * stride + kx - pad];
           }
         }
       }
     }
   }
 
-  // GEMM: out[oc, m] = sum_k W[oc, k] * patches[k, m].
+  // GEMM, k-outer: out[oc, :] = sum_k W[oc, k] * patches[k, :]. Each weight
+  // scales one contiguous patch row into the channel's contiguous i32
+  // accumulator row, a widening multiply-add the compiler vectorizes. No
+  // branch depends on a weight or activation value, and zeros are not
+  // skipped. Integer sums are exact in any order while no partial sum
+  // overflows: |w * x| <= 2^14, so any K <= 131,071 stays below 2^31.
   Tensor out(weights.out_c, oh, ow, input.bits());
+  std::vector<i32> acc(cols);
   for (int oc = 0; oc < weights.out_c; ++oc) {
+    std::fill(acc.begin(), acc.end(), 0);
     const i8* wrow = weights.data.data() + static_cast<std::size_t>(oc) * rows;
-    for (std::size_t m = 0; m < cols; ++m) {
-      i32 acc = 0;
-      for (std::size_t k = 0; k < rows; ++k)
-        acc += static_cast<i32>(wrow[k]) * static_cast<i32>(patches[k * cols + m]);
-      out.data()[static_cast<std::size_t>(oc) * cols + m] =
-          requantize(acc, requant_shift, input.bits());
+    for (std::size_t k = 0; k < rows; ++k) {
+      const i32 wk = wrow[k];
+      const i8* prow = patches.data() + k * cols;
+      for (std::size_t m = 0; m < cols; ++m) acc[m] += wk * prow[m];
     }
+    i8* orow = out.data().data() + static_cast<std::size_t>(oc) * cols;
+    for (std::size_t m = 0; m < cols; ++m)
+      orow[m] = requantize(acc[m], requant_shift, input.bits());
   }
   return out;
 }

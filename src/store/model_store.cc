@@ -16,8 +16,8 @@ namespace fs = std::filesystem;
 
 // --- InMemoryBackend ---------------------------------------------------------
 
-bool InMemoryBackend::save(const std::string& key, BytesView bytes) {
-  entries_[key] = Bytes(bytes.begin(), bytes.end());
+bool InMemoryBackend::save(const std::string& key, Bytes bytes) {
+  entries_[key] = std::move(bytes);
   return true;
 }
 
@@ -46,7 +46,7 @@ DirectoryBackend::DirectoryBackend(std::string directory)
   fs::create_directories(directory_, ec);  // best effort; save() re-checks
 }
 
-bool DirectoryBackend::save(const std::string& key, BytesView bytes) {
+bool DirectoryBackend::save(const std::string& key, Bytes bytes) {
   std::error_code ec;
   fs::create_directories(directory_, ec);
 #ifdef GUARDNN_STORE_HAVE_FSYNC
@@ -145,18 +145,21 @@ void ModelStore::reindex_locked() {
       continue;
     const std::optional<Bytes> bytes = backend_->load(key);
     if (!bytes) continue;
-    const std::optional<SealedBlob> blob = SealedBlob::deserialize(*bytes);
-    if (!blob) continue;  // untrusted storage: skip, never trust
-    index_[blob->header.content_id][blob->header.binding_id] = key;
+    const std::optional<SealedBlobHeader> header = SealedBlob::parse_header(*bytes);
+    if (!header) continue;  // untrusted storage: skip, never trust
+    index_[header->content_id][header->binding_id] = Replica{key, bytes->size()};
     stats_.bytes_stored += bytes->size();
   }
 }
 
 std::optional<ContentId> ModelStore::put(const SealedBlob& blob) {
-  // Round-trip through the wire format so only storable blobs are indexed
-  // (and what get() returns later is exactly what was persisted).
-  const Bytes bytes = blob.serialize();
-  if (!SealedBlob::deserialize(bytes)) return std::nullopt;
+  // Only wire images get() can deserialize again are indexed, and what it
+  // returns later is exactly what was persisted. The header parse makes
+  // every structural check deserialize() makes, without copying the body;
+  // the serialized buffer itself goes to the backend.
+  Bytes bytes = blob.serialize();
+  if (!SealedBlob::parse_header(bytes)) return std::nullopt;
+  const u64 wire_bytes = bytes.size();
 
   std::lock_guard<std::mutex> lock(mu_);
   auto& replicas = index_[blob.header.content_id];
@@ -168,13 +171,13 @@ std::optional<ContentId> ModelStore::put(const SealedBlob& blob) {
     return blob.header.content_id;
   }
   const std::string key = key_for(blob.header.content_id, blob.header.binding_id);
-  if (!backend_->save(key, bytes)) {
+  if (!backend_->save(key, std::move(bytes))) {
     if (replicas.empty()) index_.erase(blob.header.content_id);
     return std::nullopt;
   }
-  replicas[blob.header.binding_id] = key;
+  replicas[blob.header.binding_id] = Replica{key, wire_bytes};
   stats_.puts += 1;
-  stats_.bytes_stored += bytes.size();
+  stats_.bytes_stored += wire_bytes;
   touch_locked(blob.header.content_id, blob.header.binding_id);
   if (metrics_.puts) metrics_.puts->inc();
   if (metrics_.stored_bytes)
@@ -194,9 +197,9 @@ std::optional<SealedBlob> ModelStore::get(const ContentId& content,
   if (it == index_.end()) return miss();
   auto replica = it->second.find(binding);
   if (replica == it->second.end()) return miss();
-  const std::optional<Bytes> bytes = backend_->load(replica->second);
+  std::optional<Bytes> bytes = backend_->load(replica->second.key);
   if (!bytes) return miss();
-  std::optional<SealedBlob> blob = SealedBlob::deserialize(*bytes);
+  std::optional<SealedBlob> blob = SealedBlob::deserialize(std::move(*bytes));
   if (!blob) return miss();
   stats_.get_hits += 1;
   touch_locked(content, binding);
@@ -240,7 +243,7 @@ std::optional<BindingId> ModelStore::preferred_binding(
   const auto access = access_.find(content);
   std::optional<BindingId> best;
   u64 best_touch = 0;
-  for (const auto& [binding, key] : it->second) {
+  for (const auto& [binding, replica] : it->second) {
     u64 touch = 0;
     if (access != access_.end()) {
       auto t = access->second.last_touch.find(binding);
@@ -267,7 +270,7 @@ std::vector<BindingId> ModelStore::bindings(const ContentId& content) const {
   auto it = index_.find(content);
   if (it == index_.end()) return out;
   out.reserve(it->second.size());
-  for (const auto& [binding, key] : it->second) out.push_back(binding);
+  for (const auto& [binding, replica] : it->second) out.push_back(binding);
   return out;
 }
 
@@ -285,13 +288,10 @@ bool ModelStore::erase(const ContentId& content, const BindingId& binding) {
   if (it == index_.end()) return false;
   auto replica = it->second.find(binding);
   if (replica == it->second.end()) return false;
-  if (const std::optional<Bytes> bytes = backend_->load(replica->second)) {
-    stats_.bytes_stored -=
-        std::min<u64>(stats_.bytes_stored, bytes->size());
-    if (metrics_.stored_bytes)
-      metrics_.stored_bytes->set(static_cast<double>(stats_.bytes_stored));
-  }
-  backend_->remove(replica->second);
+  stats_.bytes_stored -= std::min(stats_.bytes_stored, replica->second.bytes);
+  if (metrics_.stored_bytes)
+    metrics_.stored_bytes->set(static_cast<double>(stats_.bytes_stored));
+  backend_->remove(replica->second.key);
   it->second.erase(replica);
   if (auto access = access_.find(content); access != access_.end()) {
     access->second.last_touch.erase(binding);

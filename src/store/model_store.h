@@ -32,10 +32,12 @@ namespace guardnn::store {
 
 /// Storage backend: a flat key → bytes namespace. Keys are printable-ASCII
 /// file-name-safe strings the store derives from (content, binding) ids.
+/// save() takes the wire image by value, so a backend that keeps it in
+/// memory stores the caller's buffer instead of a copy.
 class StoreBackend {
  public:
   virtual ~StoreBackend() = default;
-  virtual bool save(const std::string& key, BytesView bytes) = 0;
+  virtual bool save(const std::string& key, Bytes bytes) = 0;
   virtual std::optional<Bytes> load(const std::string& key) const = 0;
   virtual std::vector<std::string> list() const = 0;
   virtual bool remove(const std::string& key) = 0;
@@ -43,7 +45,7 @@ class StoreBackend {
 
 class InMemoryBackend final : public StoreBackend {
  public:
-  bool save(const std::string& key, BytesView bytes) override;
+  bool save(const std::string& key, Bytes bytes) override;
   std::optional<Bytes> load(const std::string& key) const override;
   std::vector<std::string> list() const override;
   bool remove(const std::string& key) override;
@@ -64,7 +66,7 @@ class DirectoryBackend final : public StoreBackend {
   /// file behind) on any I/O failure, so a replica is only ever visible —
   /// and only ever indexed — once its bytes are fully on disk. A crash can
   /// at worst leave a `*.tmp` orphan, which reindexing ignores.
-  bool save(const std::string& key, BytesView bytes) override;
+  bool save(const std::string& key, Bytes bytes) override;
   std::optional<Bytes> load(const std::string& key) const override;
   std::vector<std::string> list() const override;
   bool remove(const std::string& key) override;
@@ -91,9 +93,10 @@ class ModelStore {
   explicit ModelStore(std::unique_ptr<StoreBackend> backend = nullptr);
 
   /// Stores a replica, deduplicated by (content id, binding id). Returns the
-  /// content id, or nullopt when the blob fails the wire-format round trip
-  /// or the backend write fails (directory backend: the write is fsync'd
-  /// before this returns, so a success is crash-durable). Thread-safe.
+  /// content id, or nullopt when the blob's wire image fails deserialize()'s
+  /// structural checks or the backend write fails (directory backend: the
+  /// write is fsync'd before this returns, so a success is crash-durable).
+  /// Thread-safe.
   std::optional<ContentId> put(const SealedBlob& blob);
 
   /// The replica of `content` bound to `binding`, if present.
@@ -143,10 +146,17 @@ class ModelStore {
   /// Advances the access clock for (content, binding); caller holds mu_.
   void touch_locked(const ContentId& content, const BindingId& binding) const;
 
+  /// One stored replica: its backend key and wire size (what erase()
+  /// returns to bytes_stored without reloading the blob).
+  struct Replica {
+    std::string key;
+    u64 bytes = 0;
+  };
+
   mutable std::mutex mu_;
   std::unique_ptr<StoreBackend> backend_;
-  /// (content → binding → backend key), rebuilt from the backend on open.
-  std::map<ContentId, std::map<BindingId, std::string>> index_;
+  /// (content → binding → replica), rebuilt from the backend on open.
+  std::map<ContentId, std::map<BindingId, Replica>> index_;
   /// Mutable: get() is logically const but counts its hit/miss.
   mutable StoreStats stats_;
 

@@ -121,25 +121,25 @@ Bytes SealedBlob::serialize() const {
   return out;
 }
 
-std::optional<SealedBlob> SealedBlob::deserialize(BytesView bytes) {
+std::optional<SealedBlobHeader> SealedBlob::parse_header(BytesView bytes) {
   if (bytes.size() < kHeaderBytes) return std::nullopt;
   const u8* p = bytes.data();
   if (load_be32(p) != kSealedBlobMagic) return std::nullopt;
   p += 4;
 
-  SealedBlob blob;
-  blob.header.version = static_cast<u16>((u16(p[0]) << 8) | p[1]);
+  SealedBlobHeader header;
+  header.version = static_cast<u16>((u16(p[0]) << 8) | p[1]);
   if (p[2] != 0 || p[3] != 0) return std::nullopt;  // reserved: strict zero
   p += 4;  // version + reserved
-  std::copy(p, p + blob.header.binding_id.size(), blob.header.binding_id.begin());
-  p += blob.header.binding_id.size();
-  std::copy(p, p + blob.header.content_id.size(), blob.header.content_id.begin());
-  p += blob.header.content_id.size();
-  std::copy(p, p + blob.header.nonce.size(), blob.header.nonce.begin());
-  p += blob.header.nonce.size();
-  blob.header.plaintext_bytes = load_be64(p);
+  std::copy(p, p + header.binding_id.size(), header.binding_id.begin());
+  p += header.binding_id.size();
+  std::copy(p, p + header.content_id.size(), header.content_id.begin());
+  p += header.content_id.size();
+  std::copy(p, p + header.nonce.size(), header.nonce.begin());
+  p += header.nonce.size();
+  header.plaintext_bytes = load_be64(p);
   p += 8;
-  blob.header.chunk_bytes = load_be64(p);
+  header.chunk_bytes = load_be64(p);
   p += 8;
   const u64 stored_chunks = load_be64(p);
 
@@ -148,26 +148,39 @@ std::optional<SealedBlob> SealedBlob::deserialize(BytesView bytes) {
   // length must match exactly (no trailing garbage, no truncation). Bounding
   // plaintext_bytes by the real buffer first keeps every later sum far from
   // u64 wrap-around — without it a near-2^64 length field makes `expected`
-  // wrap back onto a header-only file and the assign below runs wild.
-  if (blob.header.chunk_bytes != kSealChunkBytes) return std::nullopt;
-  if (blob.header.plaintext_bytes == 0 ||
-      blob.header.plaintext_bytes > bytes.size())
+  // wrap back onto a header-only file and deserialize() reads past the end.
+  if (header.chunk_bytes != kSealChunkBytes) return std::nullopt;
+  if (header.plaintext_bytes == 0 || header.plaintext_bytes > bytes.size())
     return std::nullopt;
-  const u64 n_chunks = blob.header.chunk_count();
+  const u64 n_chunks = header.chunk_count();
   if (stored_chunks != n_chunks) return std::nullopt;
-  const u64 expected = kHeaderBytes + blob.header.plaintext_bytes +
+  const u64 expected = kHeaderBytes + header.plaintext_bytes +
                        (n_chunks + 1) * crypto::kAesBlockBytes;
   if (bytes.size() != expected) return std::nullopt;
+  return header;
+}
 
-  const u8* body = bytes.data() + kHeaderBytes;
-  blob.ciphertext.assign(body, body + blob.header.plaintext_bytes);
-  body += blob.header.plaintext_bytes;
+std::optional<SealedBlob> SealedBlob::deserialize(BytesView bytes) {
+  return deserialize(Bytes(bytes.begin(), bytes.end()));
+}
+
+std::optional<SealedBlob> SealedBlob::deserialize(Bytes&& bytes) {
+  std::optional<SealedBlobHeader> header = parse_header(bytes);
+  if (!header) return std::nullopt;
+  SealedBlob blob;
+  blob.header = *header;
+  const u64 n_chunks = blob.header.chunk_count();
+  const u8* macs = bytes.data() + kHeaderBytes + blob.header.plaintext_bytes;
   blob.chunk_macs.resize(n_chunks);
   for (u64 i = 0; i < n_chunks; ++i) {
-    std::copy(body, body + crypto::kAesBlockBytes, blob.chunk_macs[i].begin());
-    body += crypto::kAesBlockBytes;
+    std::copy(macs, macs + crypto::kAesBlockBytes, blob.chunk_macs[i].begin());
+    macs += crypto::kAesBlockBytes;
   }
-  std::copy(body, body + crypto::kAesBlockBytes, blob.chain_mac.begin());
+  std::copy(macs, macs + crypto::kAesBlockBytes, blob.chain_mac.begin());
+  std::memmove(bytes.data(), bytes.data() + kHeaderBytes,
+               blob.header.plaintext_bytes);
+  bytes.resize(blob.header.plaintext_bytes);
+  blob.ciphertext = std::move(bytes);
   return blob;
 }
 

@@ -81,6 +81,13 @@ struct SealedBlob {
   /// yields nullopt. Authenticity is *not* checked here — that is unseal's
   /// job (parsing happens on the untrusted host, unsealing on the device).
   static std::optional<SealedBlob> deserialize(BytesView bytes);
+  /// The same parse of an owned wire image, whose buffer becomes the
+  /// ciphertext: the body moves over the header in place, no second copy.
+  static std::optional<SealedBlob> deserialize(Bytes&& bytes);
+  /// The header and chunk-geometry half of deserialize(): every structural
+  /// check it makes, including the exact total length, without copying the
+  /// body. deserialize() accepts exactly the wire images this accepts.
+  static std::optional<SealedBlobHeader> parse_header(BytesView bytes);
 };
 
 /// Unseal outcome. Deliberately coarse: nothing depends on secret data, and

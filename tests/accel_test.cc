@@ -436,6 +436,90 @@ TEST(Device, InitSessionResetsState) {
             DeviceStatus::kBadRecord);
 }
 
+class DeviceAlignmentTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(DeviceAlignmentTest, MisalignedOperandAnswersBadOperandAndSessionLives) {
+  // The MPU needs 512 B-aligned regions with integrity on and 16 B-aligned
+  // ones with it off. Every instruction that takes an address must answer
+  // kBadOperand for one that breaks the session's rule, never throw out of
+  // the ISA, and leave the session able to run the next valid instruction.
+  const bool integrity = GetParam();
+  const u64 bad = integrity ? 16 : 8;
+  Fixture fx;
+  crypto::HmacDrbg user_drbg(Bytes{14});
+  const crypto::SessionKeys keys = handshake(fx, integrity, user_drbg);
+  crypto::ChannelSender to_device(keys);
+  const SessionId sid = fx.sid;
+  constexpr u64 kWeights = 0, kInput = 0x1000, kOutput = 0x2000, kSum = 0x3000;
+  const Bytes weights(4 * 4 * 3 * 3, 1);
+
+  EXPECT_EQ(fx.device.set_weight(sid, to_device.seal(weights), kWeights + bad),
+            DeviceStatus::kBadOperand);
+  ASSERT_EQ(fx.device.set_weight(sid, to_device.seal(weights), kWeights),
+            DeviceStatus::kOk);
+  EXPECT_EQ(fx.device.set_input(sid, to_device.seal(Bytes(64, 2)), kInput + bad),
+            DeviceStatus::kBadOperand);
+  ASSERT_EQ(fx.device.set_input(sid, to_device.seal(Bytes(64, 2)), kInput),
+            DeviceStatus::kOk);
+  ASSERT_EQ(fx.device.set_read_ctr(sid, kInput, 512,
+                                   fx.device.vn_generator(sid).feature_write_vn()),
+            DeviceStatus::kOk);
+
+  // Runs a valid op and points the read counter of its output at the VN it
+  // was written with, so later reads of it verify.
+  auto forward_ok = [&](const ForwardOp& op) {
+    const u64 vn = fx.device.vn_generator(sid).feature_write_vn();
+    ASSERT_EQ(fx.device.forward(sid, op), DeviceStatus::kOk);
+    ASSERT_EQ(fx.device.set_read_ctr(sid, op.output_addr, 512, vn), DeviceStatus::kOk);
+  };
+  ForwardOp conv;
+  conv.kind = ForwardOp::Kind::kConv;
+  conv.in_c = 4;
+  conv.in_h = conv.in_w = 4;
+  conv.out_c = 4;
+  conv.kernel = 3;
+  conv.pad = 1;
+  conv.requant_shift = 4;
+  conv.input_addr = kInput;
+  conv.weight_addr = kWeights;
+  conv.output_addr = kOutput;
+  for (u64 ForwardOp::*field :
+       {&ForwardOp::input_addr, &ForwardOp::weight_addr, &ForwardOp::output_addr}) {
+    ForwardOp misaligned = conv;
+    misaligned.*field += bad;
+    EXPECT_EQ(fx.device.forward(sid, misaligned), DeviceStatus::kBadOperand);
+    forward_ok(conv);
+  }
+  ForwardOp add = conv;
+  add.kind = ForwardOp::Kind::kAdd;
+  add.input2_addr = kInput + bad;
+  add.output_addr = kSum;
+  EXPECT_EQ(fx.device.forward(sid, add), DeviceStatus::kBadOperand);
+  add.input2_addr = kOutput;
+  forward_ok(add);
+
+  crypto::SealedRecord record;
+  EXPECT_EQ(fx.device.export_output(sid, kSum + bad, 64, record),
+            DeviceStatus::kBadOperand);
+  ASSERT_EQ(fx.device.export_output(sid, kSum, 64, record), DeviceStatus::kOk);
+
+  const Bytes descriptor{'d'};
+  store::SealedBlob blob;
+  EXPECT_EQ(fx.device.seal_model(sid, kWeights + bad, weights.size(), descriptor, blob),
+            DeviceStatus::kBadOperand);
+  ASSERT_EQ(fx.device.seal_model(sid, kWeights, weights.size(), descriptor, blob),
+            DeviceStatus::kOk);
+  Bytes descriptor_out;
+  EXPECT_EQ(fx.device.unseal_model(sid, blob, kWeights + bad, descriptor_out),
+            DeviceStatus::kBadOperand);
+  ASSERT_EQ(fx.device.unseal_model(sid, blob, kWeights, descriptor_out),
+            DeviceStatus::kOk);
+  EXPECT_EQ(descriptor_out, descriptor);
+  forward_ok(conv);  // the reloaded weights serve the next inference
+}
+
+INSTANTIATE_TEST_SUITE_P(Integrity, DeviceAlignmentTest, ::testing::Bool());
+
 TEST(Device, LatencyModelAccumulates) {
   Fixture fx;
   crypto::HmacDrbg user_drbg(Bytes{13});

@@ -70,27 +70,88 @@ TEST(Conv, KnownSmallExample) {
   EXPECT_EQ(out.at(0, 0, 0), 10);
 }
 
-class ConvAgreementTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
+/// (in_c, h, w, out_c, kernel, stride, pad, bits, shift, input_fill,
+/// weight_fill). A fill of 0 draws random `bits`-bit values; any other fill
+/// sets every input (or weight) to that value.
+using ConvCase = std::tuple<int, int, int, int, int, int, int, int, int, int, int>;
+
+/// conv2d_gemm against the conv2d_direct oracle, byte for byte.
+bool gemm_matches_direct(const ConvCase& c, u64 seed) {
+  const auto [in_c, h, w, out_c, kernel, stride, pad, bits, shift, input_fill,
+              weight_fill] = c;
+  Xoshiro256 rng(seed);
+  Tensor input(in_c, h, w, bits);
+  ConvWeights weights(out_c, in_c, kernel, bits);
+  fill_random(input.data(), rng, bits);
+  fill_random(weights.data, rng, bits);
+  if (input_fill != 0)
+    std::fill(input.data().begin(), input.data().end(), static_cast<i8>(input_fill));
+  if (weight_fill != 0)
+    std::fill(weights.data.begin(), weights.data.end(), static_cast<i8>(weight_fill));
+  return conv2d_gemm(input, weights, stride, pad, shift) ==
+         conv2d_direct(input, weights, stride, pad, shift);
+}
+
+class ConvAgreementTest : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvAgreementTest, GemmMatchesDirect) {
-  const auto [in_c, hw, out_c, kernel, stride] = GetParam();
-  const int pad = kernel / 2;
-  Xoshiro256 rng(static_cast<u64>(in_c * 1000 + hw * 100 + out_c));
-  Tensor input(in_c, hw, hw);
-  fill_random(input.data(), rng, 8);
-  ConvWeights w(out_c, in_c, kernel);
-  fill_random(w.data, rng, 8);
-  const Tensor direct = conv2d_direct(input, w, stride, pad, 4);
-  const Tensor gemm = conv2d_gemm(input, w, stride, pad, 4);
-  EXPECT_EQ(direct, gemm);
+  const auto [in_c, h, w, out_c, kernel, stride, pad, bits, shift, input_fill,
+              weight_fill] = GetParam();
+  EXPECT_TRUE(
+      gemm_matches_direct(GetParam(), static_cast<u64>(in_c * 1000 + h * 100 + out_c)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvAgreementTest,
-    ::testing::Values(std::make_tuple(1, 8, 4, 3, 1), std::make_tuple(3, 8, 8, 3, 1),
-                      std::make_tuple(4, 16, 8, 5, 2), std::make_tuple(8, 7, 16, 1, 1),
-                      std::make_tuple(2, 9, 3, 3, 2), std::make_tuple(6, 5, 6, 5, 1)));
+    ::testing::Values(
+        // Square, pad = kernel / 2, 8-bit, shift 4.
+        ConvCase{1, 8, 8, 4, 3, 1, 1, 8, 4, 0, 0},
+        ConvCase{3, 8, 8, 8, 3, 1, 1, 8, 4, 0, 0},
+        ConvCase{4, 16, 16, 8, 5, 2, 2, 8, 4, 0, 0},
+        ConvCase{8, 7, 7, 16, 1, 1, 0, 8, 4, 0, 0},
+        ConvCase{2, 9, 9, 3, 3, 2, 1, 8, 4, 0, 0},
+        ConvCase{6, 5, 5, 6, 5, 1, 2, 8, 4, 0, 0},
+        // H != W, both ways: a swapped height and width index fails these.
+        ConvCase{3, 5, 11, 4, 3, 1, 1, 8, 4, 0, 0},
+        ConvCase{3, 11, 5, 4, 3, 1, 1, 8, 4, 0, 0},
+        ConvCase{2, 6, 13, 3, 3, 2, 1, 8, 4, 0, 0},
+        ConvCase{2, 13, 6, 3, 3, 2, 1, 8, 4, 0, 0},
+        // Pad 0, pad > kernel / 2 (windows that lie wholly in the padding).
+        ConvCase{4, 10, 10, 4, 3, 1, 0, 8, 4, 0, 0},
+        ConvCase{2, 6, 7, 3, 3, 1, 3, 8, 4, 0, 0},
+        ConvCase{2, 4, 5, 2, 2, 2, 4, 8, 4, 0, 0},
+        // Stride 3, a 1x1 kernel with a stride.
+        ConvCase{3, 14, 11, 4, 3, 3, 1, 8, 4, 0, 0},
+        ConvCase{5, 9, 8, 6, 1, 3, 0, 8, 4, 0, 0},
+        // 6-bit values; shifts 0 and 12.
+        ConvCase{3, 8, 9, 4, 3, 1, 1, 6, 4, 0, 0},
+        ConvCase{3, 8, 8, 4, 3, 1, 1, 8, 0, 0, 0},
+        ConvCase{3, 8, 8, 4, 3, 1, 1, 8, 12, 0, 0},
+        // Saturation: every product at its extreme, clamped high and low.
+        ConvCase{4, 6, 6, 3, 3, 1, 1, 8, 4, -128, -128},
+        ConvCase{4, 6, 6, 3, 3, 1, 1, 8, 4, 127, 127},
+        ConvCase{4, 6, 6, 3, 3, 1, 1, 8, 4, -128, 127},
+        ConvCase{4, 6, 6, 3, 3, 1, 1, 8, 0, 127, -128}));
+
+TEST(Conv, GemmMatchesDirectOnSeededShapeSweep) {
+  // 250 random geometries, including windows that overhang every edge.
+  Xoshiro256 rng(2718);
+  auto draw = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng.next_below(static_cast<u64>(hi - lo + 1)));
+  };
+  int mismatches = 0;
+  for (int i = 0; i < 250; ++i) {
+    const int h = draw(1, 20), w = draw(1, 20), pad = draw(0, 4);
+    const int kernel = draw(1, std::min(7, std::min(h, w) + 2 * pad));
+    const ConvCase c{draw(1, 8), h, w, draw(1, 8), kernel, draw(1, 4), pad,
+                     draw(0, 1) == 0 ? 6 : 8, draw(0, 12), 0, 0};
+    if (!gemm_matches_direct(c, rng.next())) {
+      ++mismatches;
+      ADD_FAILURE() << "mismatch at case " << i << ": " << ::testing::PrintToString(c);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
 
 TEST(Conv, RejectsChannelMismatch) {
   Tensor input(3, 4, 4);

@@ -565,6 +565,48 @@ TEST(SideChannel, MemoryTraceIndependentOfData) {
       << "memory side channel must not depend on input or weight values";
 }
 
+TEST(SideChannel, GoldenSmallCnnTraceCountersAndOutputPinned) {
+  // The trace test above compares two runs of one build, so a change that
+  // moves the trace the same way for every input passes it. This pins one
+  // integrity-on small_cnn inference to recorded values instead: the MPU
+  // access trace, the MPU byte counters, the modeled latency and the output
+  // region's ciphertext and MAC slots. A datapath change that keeps outputs
+  // and simulated statistics identical leaves all five untouched.
+  const FuncNetwork net = small_cnn();
+  const functional::Tensor input = random_input(net, 7);
+  TestBench bench;
+  ASSERT_TRUE(bench.run(net, input, true, /*attest=*/true).has_value());
+  const accel::SessionId sid = bench.user.session_id();
+
+  const auto& trace = bench.device.access_trace(sid);
+  crypto::Sha256 trace_hash;
+  for (const auto& [address, is_write] : trace) {
+    u8 entry[9];
+    store_be64(entry, address);
+    entry[8] = is_write ? 1 : 0;
+    trace_hash.update(BytesView(entry, sizeof(entry)));
+  }
+  EXPECT_EQ(trace.size(), 29u);
+  EXPECT_EQ(to_hex(trace_hash.finalize()),
+            "5d7d80c6fab3d331d28749454ca9f59783d9d0d2a8f93257a04eae63e5130e46");
+
+  const accel::MpuByteCounters& counters = bench.device.mpu_byte_counters();
+  EXPECT_EQ(counters.bytes_encrypted.load(), 8192u);
+  EXPECT_EQ(counters.bytes_macd.load(), 8192u);
+  EXPECT_DOUBLE_EQ(bench.device.elapsed_ms(), 28.03064000000002);
+
+  constexpr u64 kChunk = accel::MemoryProtectionUnit::kChunkBytes;
+  const ExecutionPlan plan = HostScheduler::compile(net);
+  const u64 phys = accel::GuardNnDevice::partition_base(sid) + plan.output_addr;
+  const u64 chunks = (plan.output_bytes + kChunk - 1) / kChunk;
+  crypto::Sha256 output_hash;
+  output_hash.update(bench.memory.read(phys, chunks * kChunk));
+  output_hash.update(bench.memory.read(
+      accel::MemoryProtectionUnit::kMacRegionBase + phys / kChunk * 8, chunks * 8));
+  EXPECT_EQ(to_hex(output_hash.finalize()),
+            "fd3381b6bb248e9acc96480d33a25fc960b59c2f2052a37b1989bd92ce226027");
+}
+
 TEST(SideChannel, LatencyIndependentOfData) {
   const FuncNetwork net_a = small_cnn(31);
   const FuncNetwork net_b = small_cnn(32);
