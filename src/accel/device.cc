@@ -340,7 +340,8 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
   // SGD update is special: it reads the gradient blob chunk-by-chunk (each
   // layer's dW was written with a different CTR_F,W, so the host supplies a
   // read counter per range), updates the whole weight blob, bumps CTR_W and
-  // re-encrypts the blob under the new counter (Section II-D.2).
+  // re-encrypts the blob under the new counter (Section II-D.2). The MPU
+  // reads and writes straight through the i8 buffers the update works on.
   if (op.kind == ForwardOp::Kind::kSgdUpdate) {
     const u64 elems = static_cast<u64>(op.in_c) * op.in_h * op.in_w;
     const u64 span = pad_region(elems);
@@ -348,29 +349,27 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
     if (!translate(s, op.weight_addr, span, weight_phys) ||
         !translate(s, op.input_addr, span, grad_phys))
       return DeviceStatus::kBadOperand;
-    Bytes weights(span);
-    if (!s.mpu.read(weight_phys, weights, s.vn.weight_vn())) {
+    const auto bytes_of = [](std::vector<i8>& v, u64 off, u64 size) {
+      return MutBytesView(reinterpret_cast<u8*>(v.data()) + off, size);
+    };
+    std::vector<i8> w(span);
+    if (!s.mpu.read(weight_phys, bytes_of(w, 0, span), s.vn.weight_vn())) {
       s.dead = true;
       return DeviceStatus::kIntegrityFailure;
     }
-    Bytes grads(span);
+    std::vector<i8> g(span);
     for (u64 off = 0; off < span; off += MemoryProtectionUnit::kChunkBytes) {
       const u64 chunk_vn = s.vn.feature_read_vn(op.input_addr + off).value_or(0);
       if (!s.mpu.read(grad_phys + off,
-                      MutBytesView(grads.data() + off,
-                                   MemoryProtectionUnit::kChunkBytes),
+                      bytes_of(g, off, MemoryProtectionUnit::kChunkBytes),
                       chunk_vn)) {
         s.dead = true;
         return DeviceStatus::kIntegrityFailure;
       }
     }
-    std::vector<i8> w(weights.begin(), weights.end());
-    const std::vector<i8> g(grads.begin(), grads.end());
     functional::sgd_update(w, g, op.requant_shift, op.bits);
-    Bytes updated(reinterpret_cast<const u8*>(w.data()),
-                  reinterpret_cast<const u8*>(w.data()) + w.size());
     s.vn.on_set_weight();
-    s.mpu.write(weight_phys, updated, s.vn.weight_vn());
+    s.mpu.write(weight_phys, bytes_of(w, 0, span), s.vn.weight_vn());
     s.chain.absorb(Opcode::kForward, op.serialize());
     return DeviceStatus::kOk;
   }

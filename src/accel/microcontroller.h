@@ -1,22 +1,24 @@
 // Microcontroller latency model.
 //
 // The prototype runs GuardNN's new instructions as firmware on a Xilinx
-// MicroBlaze (paper Section III-B): the ECDHE-ECDSA key exchange costs
-// 23.1 ms, an ECDSA signature 4.8 ms, and weight import is bounded by the
-// AES path at an effective ~3.2 GB/s. The functional device accumulates
-// these latencies so examples/benches can report instruction timing without
-// real hardware.
+// MicroBlaze (paper Section III-B): the key exchange, signature and
+// per-command latencies are the ones functional/fpga_model.h defines, and
+// weight import is bounded by the AES path at an effective ~3.2 GB/s. The
+// functional device accumulates these latencies so examples/benches can
+// report instruction timing without real hardware.
 #pragma once
 
 #include "common/types.h"
+#include "functional/fpga_model.h"
 
 namespace guardnn::accel {
 
 struct MicrocontrollerModel {
-  double key_exchange_ms = 23.1;  ///< GetPK + InitSession (ECDHE-ECDSA).
-  double sign_ms = 4.8;           ///< ECDSA signature (SignOutput).
+  /// GetPK + InitSession (ECDHE-ECDSA).
+  double key_exchange_ms = functional::kKeyExchangeMs;
+  double sign_ms = functional::kSignMs;  ///< ECDSA signature (SignOutput).
   double import_gbs = 3.2;        ///< Session-decrypt + memory-encrypt path.
-  double command_overhead_ms = 0.01;
+  double command_overhead_ms = functional::kCommandOverheadMs;
 
   double import_ms(u64 bytes) const {
     return command_overhead_ms + static_cast<double>(bytes) / (import_gbs * 1e9) * 1e3;

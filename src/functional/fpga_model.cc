@@ -68,8 +68,8 @@ FpgaThroughput fpga_throughput(const dnn::Network& net, const FpgaConfig& cfg) {
 InstructionLatencies instruction_latencies(const dnn::Network& net,
                                            const FpgaConfig& cfg) {
   InstructionLatencies lat;
-  // ECDHE-ECDSA on a 100 MHz MicroBlaze (paper: 23.1 ms, network-independent).
-  lat.key_exchange_ms = 23.1;
+  // ECDHE-ECDSA on a 100 MHz MicroBlaze (network-independent).
+  lat.key_exchange_ms = kKeyExchangeMs;
   // SetWeight re-encrypts all weights: session-decrypt + memory-encrypt, two
   // passes through the AES path at an effective ~3.2 GB/s (half the 9.6 GB/s
   // aggregate, minus DMA overhead). This reproduces the paper's 19.5 / 2.2 /
@@ -82,9 +82,9 @@ InstructionLatencies instruction_latencies(const dnn::Network& net,
   lat.set_input_ms =
       0.05 + 224.0 * 224.0 * 3.0 / (import_gbs * 1e9) * 1e3;
   // 1000-class logits: dominated by fixed command overhead.
-  lat.export_output_ms = 0.01;
-  // ECDSA sign on the MicroBlaze (paper: 4.8 ms).
-  lat.sign_output_ms = 4.8;
+  lat.export_output_ms = kCommandOverheadMs;
+  // ECDSA sign on the MicroBlaze.
+  lat.sign_output_ms = kSignMs;
   return lat;
 }
 

@@ -52,6 +52,13 @@ double frame_traffic_bytes(const dnn::Network& net, const FpgaConfig& cfg);
 /// Throughput for one network on one configuration.
 FpgaThroughput fpga_throughput(const dnn::Network& net, const FpgaConfig& cfg);
 
+/// MicroBlaze firmware latencies on the prototype (Section III-B), defined
+/// once: instruction_latencies() reports them and the device's
+/// accel::MicrocontrollerModel charges them.
+inline constexpr double kKeyExchangeMs = 23.1;  ///< ECDHE-ECDSA key exchange.
+inline constexpr double kSignMs = 4.8;          ///< ECDSA signature.
+inline constexpr double kCommandOverheadMs = 0.01;  ///< Fixed per command.
+
 /// GuardNN instruction latencies on the prototype (Section III-B):
 /// key exchange on the MicroBlaze, weight import through the AES engines,
 /// input import, output export and ECDSA signing.

@@ -230,8 +230,7 @@ accel::DeviceStatus InferenceServer::device_call(std::size_t device_index,
 
 accel::InitSessionResponse InferenceServer::open_session(
     std::size_t device_index, const crypto::AffinePoint& user_ephemeral,
-    bool integrity,
-    const std::function<accel::DeviceStatus(accel::SessionId)>& admit) {
+    bool integrity, const std::function<void(accel::SessionId)>& admit) {
   // The eviction retry loops because a concurrent connect may steal a freed
   // slot; each iteration evicts another idle tenant, so it is bounded by the
   // table size and stops when no victim remains.
@@ -240,14 +239,9 @@ accel::InitSessionResponse InferenceServer::open_session(
     const accel::DeviceStatus status =
         device_call(device_index, [&](accel::GuardNnDevice& device) {
           response = device.init_session(user_ephemeral, integrity);
-          if (response.status != accel::DeviceStatus::kOk)
-            return response.status;
-          const accel::DeviceStatus admitted = admit(response.session_id);
-          if (admitted != accel::DeviceStatus::kOk) {
-            device.close_session(response.session_id);
-            response = accel::InitSessionResponse{};
-          }
-          return admitted;
+          if (response.status == accel::DeviceStatus::kOk)
+            admit(response.session_id);
+          return response.status;
         });
     response.status = status;
     if (status != accel::DeviceStatus::kNoResources ||
@@ -284,7 +278,6 @@ InferenceServer::ConnectResult InferenceServer::connect(
                 1, std::memory_order_relaxed);
           }
           result.tenant = id;
-          return accel::DeviceStatus::kOk;
         });
     if (result.response.status != accel::DeviceStatus::kUnavailable ||
         routable(best))
@@ -297,68 +290,56 @@ InferenceServer::ConnectResult InferenceServer::reconnect(
     bool integrity) {
   const Clock::time_point start = Clock::now();
   ConnectResult result;
-  FailoverRecord record;
+  // The closed entry a failover left behind is the record: its model fields
+  // name the sealed replica to restore.
+  Shard& shard = table_.shard_for(tenant);
+  std::shared_ptr<Tenant> closed;
+  std::optional<store::ContentId> content;
+  std::optional<crypto::Sha256Digest> hash;
   {
-    std::lock_guard<std::mutex> lock(failover_mu_);
-    auto it = failovers_.find(tenant);
-    if (it == failovers_.end()) {
-      result.response.status = accel::DeviceStatus::kNoSession;
-      return result;
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.tenants.find(tenant);
+    if (it != shard.tenants.end() && !it->second->open) {
+      closed = it->second;
+      content = closed->model_content;
+      hash = closed->model_hash;
     }
-    record = it->second;
   }
-  // Prefer the device the failover pre-provisioned the model replica to;
-  // fall back to least-loaded routable placement when it has since gone
-  // down too.
-  const std::size_t target =
-      record.preferred_device && routable(*record.preferred_device)
-          ? *record.preferred_device
-          : pick_routable_device();
+  if (!closed) {
+    result.response.status = accel::DeviceStatus::kNoSession;
+    return result;
+  }
+  // A migration whose source is dead: land where the replica already sits.
+  const std::size_t target = pick_routable_device(content);
   if (target == devices_.size()) {
     result.response.status = accel::DeviceStatus::kUnavailable;
     return result;
   }
-  result.device_index = target;
-  // Same registration discipline as connect(). A gate refusal is
+  ModelHandle model;
+  if (content && hash) {
+    model.hash = *hash;
+    model.net = cached_net(*hash);
+  }
+  // A model that cannot be moved is left behind: the tenant resumes
+  // model-less and reloads it over the fresh channel. A gate refusal is
   // retryable: call reconnect() again.
-  result.response = open_session(
-      target, user_ephemeral, integrity, [&](accel::SessionId session) {
-        auto entry = make_tenant(tenant, target, session);
-        entry->model_hash = record.model_hash;
-        entry->model_content = record.content;
-        Shard& shard = table_.shard_for(tenant);
-        {
-          std::lock_guard<std::mutex> lock(shard.mu);
-          // A concurrent reconnect for the same id won the race: give this
-          // session back and report the id as already live.
-          if (!shard.tenants.emplace(tenant, std::move(entry)).second)
-            return accel::DeviceStatus::kNoSession;
-          devices_[target]->tenant_count.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        return accel::DeviceStatus::kOk;
-      });
-  if (result.response.status != accel::DeviceStatus::kOk) return result;
-  result.tenant = tenant;
-  // Server-side model restore: when the tenant had a sealed replica, load it
-  // into the fresh session (auto-replicating to `target` if the failover's
-  // pre-provisioning didn't finish). Weights never cross the user link.
-  if (record.content && record.model_hash) {
-    if (const auto net = cached_net(*record.model_hash)) {
-      ModelHandle handle;
-      handle.hash = *record.model_hash;
-      handle.net = net;
-      handle.generation = devices_[target]->device.device_generation();
-      handle.plan = plan_for(handle.hash, *net, handle.generation);
-      result.model_restored =
-          load_model_from_store(tenant, *record.content, handle) ==
-          accel::DeviceStatus::kOk;
-    }
-  }
+  const std::shared_ptr<Tenant> fresh = rebuild_tenant(
+      tenant, target, user_ephemeral, integrity,
+      model.net ? &*content : nullptr, model, /*model_required=*/false,
+      /*trace_id=*/0, result);
+  if (!fresh) return result;
+  accel::DeviceStatus flip;
   {
-    std::lock_guard<std::mutex> lock(failover_mu_);
-    failovers_.erase(tenant);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    flip = flip_locked(shard, closed, fresh);
   }
+  if (flip != accel::DeviceStatus::kOk) {
+    close_session(target, fresh->session);
+    result = ConnectResult{};
+    result.response.status = flip;
+    return result;
+  }
+  result.tenant = tenant;
   ins_.reconnect_ms.record(
       std::chrono::duration<double, std::milli>(Clock::now() - start).count());
   events_.record("reconnect", "tenant " + std::to_string(tenant) +
@@ -367,6 +348,72 @@ InferenceServer::ConnectResult InferenceServer::reconnect(
                                   (result.model_restored ? " (model restored)"
                                                          : ""));
   return result;
+}
+
+std::shared_ptr<InferenceServer::Tenant> InferenceServer::rebuild_tenant(
+    TenantId tenant, std::size_t target,
+    const crypto::AffinePoint& user_ephemeral, bool integrity,
+    const store::ContentId* content, const ModelHandle& model,
+    bool model_required, u64 trace_id, ConnectResult& result) {
+  result.device_index = target;
+  // 1 — re-wrap the replica to the target when it lacks one.
+  accel::DeviceStatus status = accel::DeviceStatus::kOk;
+  if (content) {
+    status = replicate_model(*content, target);
+    if (status != accel::DeviceStatus::kOk && model_required) {
+      result.response.status = status;
+      return nullptr;
+    }
+    if (status == accel::DeviceStatus::kOk)
+      trace_.record(trace_id, obs::SpanKind::kMigrate, tenant,
+                    static_cast<u32>(target), 2);
+  }
+  // 2 — a fresh session with the user's *new* ECDHE share (a session cannot
+  // move between devices; its keys live in SRAM). The tenant is built under
+  // the same busy hold, so it records the generation the session opened on.
+  std::shared_ptr<Tenant> fresh;
+  result.response = open_session(
+      target, user_ephemeral, integrity, [&](accel::SessionId session) {
+        fresh = make_tenant(tenant, target, session);
+      });
+  if (result.response.status != accel::DeviceStatus::kOk) return nullptr;
+  trace_.record(trace_id, obs::SpanKind::kMigrate, tenant,
+                static_cast<u32>(target), 3);
+  // 3 — the restore step, unless the re-wrap left the model behind.
+  if (content && status == accel::DeviceStatus::kOk) {
+    status = restore_model(*fresh, *content, model);
+    if (status != accel::DeviceStatus::kOk && model_required) {
+      close_session(target, fresh->session);
+      result.response.status = status;
+      return nullptr;
+    }
+    result.model_restored = status == accel::DeviceStatus::kOk;
+  }
+  return fresh;
+}
+
+accel::DeviceStatus InferenceServer::flip_locked(
+    Shard& shard, const std::shared_ptr<Tenant>& current,
+    const std::shared_ptr<Tenant>& fresh) {
+  auto it = shard.tenants.find(fresh->id);
+  if (it == shard.tenants.end() || it->second != current)
+    return accel::DeviceStatus::kNoSession;
+  DeviceNode& target = *devices_[fresh->device_index];
+  if (!routable(fresh->device_index) ||
+      target.device.device_generation() != fresh->generation)
+    return accel::DeviceStatus::kUnavailable;
+  if (current->open) {
+    // A live migration source: retired here, its session closed by the
+    // caller. A failed-over entry was already closed and uncounted.
+    current->open = false;
+    current->scheduled = false;
+    current->draining = false;
+    devices_[current->device_index]->tenant_count.fetch_sub(
+        1, std::memory_order_relaxed);
+  }
+  it->second = fresh;
+  target.tenant_count.fetch_add(1, std::memory_order_relaxed);
+  return accel::DeviceStatus::kOk;
 }
 
 InferenceServer::ConnectResult InferenceServer::migrate_tenant(
@@ -407,8 +454,7 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   const u64 mtid = trace_.begin_trace();
   trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                 static_cast<u32>(source_device), 0);
-  DeviceNode& target = *devices_[target_device];
-  accel::SessionId target_session = accel::kInvalidSession;
+  std::shared_ptr<Tenant> fresh;  // target-bound, once rebuilt
 
   // Every failure path after the mark funnels through here. If the tenant is
   // still open the migration aborts cleanly: the tenant un-drains and
@@ -441,9 +487,8 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
     }
     if (wake) make_ready(entry);
     drain(orphaned, orphan_outcome);
-    // Give the half-built target session back (keys zeroized).
-    if (target_session != accel::kInvalidSession)
-      close_session(target_device, target_session);
+    // Give the rebuilt target session back (keys zeroized).
+    if (fresh) close_session(target_device, fresh->session);
     const bool degraded = orphan_outcome == RequestOutcome::kDeviceFailover;
     if (degraded)
       ins_.migrations_failover.inc();
@@ -487,10 +532,9 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
   ins_.migration_drain_ms.record(
       std::chrono::duration<double, std::milli>(Clock::now() - mark).count());
 
-  // Phase 3 — move the model: seal on the source (reuse the recorded replica
-  // when one exists; inference never mutates weights, so it is still
-  // current) and re-wrap it to the target over the attested handshake. A
-  // model-less tenant (plan == nullptr — its FIFO is necessarily empty,
+  // Phase 3 — seal the model on the source, unless a replica is recorded
+  // (inference never mutates weights, so a recorded one is still current).
+  // A model-less tenant (plan == nullptr — its FIFO is necessarily empty,
   // submits answer kNoModel) migrates as a pure session move.
   std::shared_ptr<const host::ExecutionPlan> source_plan;
   std::optional<crypto::Sha256Digest> hash;
@@ -501,95 +545,52 @@ InferenceServer::ConnectResult InferenceServer::migrate_tenant(
     hash = entry->model_hash;
     content = entry->model_content;
   }
-  std::shared_ptr<const host::FuncNetwork> net;
-  if (source_plan && hash) {
-    net = cached_net(*hash);
-    if (!net) return abort_migration(accel::DeviceStatus::kBadOperand);
+  ModelHandle model;
+  const bool moves_model = source_plan && hash;
+  if (moves_model) {
+    model.hash = *hash;
+    model.net = cached_net(*hash);
+    if (!model.net) return abort_migration(accel::DeviceStatus::kBadOperand);
     if (!content) {
       store::ContentId sealed{};
       const accel::DeviceStatus status = seal_tenant_model(
-          tenant, host::serialize_descriptor(*net), sealed);
+          tenant, host::serialize_descriptor(*model.net), sealed);
       if (status != accel::DeviceStatus::kOk) return abort_migration(status);
       content = sealed;
     }
     trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
                   static_cast<u32>(source_device), 1);
-    const accel::DeviceStatus status =
-        replicate_model(*content, target_device);
-    if (status != accel::DeviceStatus::kOk) return abort_migration(status);
-    trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
-                  static_cast<u32>(target_device), 2);
   }
 
-  // Phase 4 — fresh session on the target with the user's *new* ECDHE share
-  // (a session cannot move between devices; its keys live in SRAM).
-  u64 target_generation = 0;
-  result.response = open_session(
-      target_device, user_ephemeral, integrity, [&](accel::SessionId session) {
-        target_session = session;
-        target_generation = target.device.device_generation();
-        return accel::DeviceStatus::kOk;
-      });
-  if (result.response.status != accel::DeviceStatus::kOk)
-    return abort_migration(result.response.status);
-  trace_.record(mtid, obs::SpanKind::kMigrate, tenant,
-                static_cast<u32>(target_device), 3);
-
-  // Phase 5 — build the target-bound tenant off to the side. HostScheduler
-  // binds a device reference at construction, so the flip replaces the table
-  // entry wholesale instead of mutating the source-bound one.
-  auto fresh = make_tenant(tenant, target_device, target_session);
-  if (source_plan && hash && content) {
-    const std::shared_ptr<const host::ExecutionPlan> target_plan =
-        plan_for(*hash, *net, target_generation);
-    const accel::DeviceStatus status = unseal_stored_model(
-        target_device, target_session, *content, *target_plan, net);
-    if (status != accel::DeviceStatus::kOk) return abort_migration(status);
-    fresh->plan = target_plan;
-    fresh->model_hash = hash;
-    fresh->model_content = *content;
-    result.model_restored = true;
-  }
+  // Phases 4–5 — the rebuild step, off to the side. HostScheduler binds a
+  // device reference at construction, so the flip replaces the table entry
+  // wholesale instead of mutating the source-bound one.
+  fresh = rebuild_tenant(tenant, target_device, user_ephemeral, integrity,
+                         moves_model ? &*content : nullptr, model,
+                         /*model_required=*/true, mtid, result);
+  if (!fresh) return abort_migration(result.response.status);
 
   // Phase 6 — replay every parked record on the *source* session, in FIFO
   // order: parked records are sealed under the old channel keys, and only
   // the source can open them. run_batch gives the full fault semantics
   // (bounded transient retries, deadline expiry, kDeath → failover) for
   // free; its draining tail returns ownership here after each batch. The
-  // flip happens in the same critical section that observes the FIFO empty
-  // AND the target still routable at the generation the session was built
-  // on. reset_device bumps the generation before it purges, under one busy
-  // hold, so a flip racing a target reset either sees the new generation
-  // and aborts, or lands first and is purged (and uncounted) with the rest.
-  bool flipped = false;
-  bool source_lost = false;
+  // flip (flip_locked) happens in the same critical section that observes
+  // the FIFO empty; a source torn down under us never flips.
+  accel::DeviceStatus flip = accel::DeviceStatus::kUnavailable;
   while (true) {
-    bool batch_ready = false;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      if (!entry->open) {
-        source_lost = true;
-      } else if (entry->pending.empty()) {
-        if (routable(target_device) &&
-            target.device.device_generation() == target_generation) {
-          shard.tenants[tenant] = fresh;
-          entry->open = false;
-          entry->scheduled = false;
-          entry->draining = false;
-          devices_[source_device]->tenant_count.fetch_sub(
-              1, std::memory_order_relaxed);
-          target.tenant_count.fetch_add(1, std::memory_order_relaxed);
-          flipped = true;
-        }
-      } else {
-        entry->scheduled = true;
-        batch_ready = true;
+      if (!entry->open) break;
+      if (entry->pending.empty()) {
+        flip = flip_locked(shard, entry, fresh);
+        break;
       }
+      entry->scheduled = true;
     }
-    if (!batch_ready) break;
     run_batch(entry);
   }
-  if (source_lost || !flipped)
+  if (flip != accel::DeviceStatus::kOk)
     return abort_migration(accel::DeviceStatus::kUnavailable);
   ins_.migration_blackout_ms.record(
       std::chrono::duration<double, std::milli>(Clock::now() - mark).count());
@@ -623,7 +624,9 @@ std::shared_ptr<InferenceServer::Tenant> InferenceServer::retire(
     entry->open = false;
     entry->teardown_outcome = outcome;
     if (!entry->scheduled) orphaned.swap(entry->pending);
-    shard.tenants.erase(tenant);
+    // A failed-over entry stays, closed, as the record reconnect() rebuilds
+    // from; every other teardown drops it.
+    if (outcome != RequestOutcome::kDeviceFailover) shard.tenants.erase(tenant);
     // Counted in the same critical section as the erase: reset_device's
     // purge takes this lock before it stores 0, so the decrement cannot
     // land after that store and wrap the count.
@@ -647,16 +650,13 @@ accel::DeviceStatus InferenceServer::disconnect(TenantId tenant) {
       tenant, RequestOutcome::kNoTenant,
       [&](Shard& shard) -> std::shared_ptr<Tenant> {
         auto it = shard.tenants.find(tenant);
-        if (it == shard.tenants.end() || !it->second->open) return nullptr;
-        return it->second;
+        if (it == shard.tenants.end()) return nullptr;
+        if (it->second->open) return it->second;
+        // A closed entry is a pending reconnect: disconnecting abandons it.
+        shard.tenants.erase(it);
+        return nullptr;
       });
-  if (!entry) {
-    // Not in the table — possibly torn down by failover. Disconnecting a
-    // failover-pending tenant abandons the pending reconnect.
-    std::lock_guard<std::mutex> lock(failover_mu_);
-    failovers_.erase(tenant);
-    return accel::DeviceStatus::kNoSession;
-  }
+  if (!entry) return accel::DeviceStatus::kNoSession;
   return close_session(entry->device_index, entry->session);
 }
 
@@ -709,8 +709,7 @@ std::shared_ptr<const host::ExecutionPlan> InferenceServer::plan_for(
 }
 
 std::shared_ptr<const host::ExecutionPlan> InferenceServer::resolve_plan(
-    const ModelHandle& model, std::size_t device_index) {
-  const u64 generation = devices_[device_index]->device.device_generation();
+    const ModelHandle& model, u64 generation) {
   if (model.generation == generation || !model.net) return model.plan;
   return plan_for(model.hash, *model.net, generation);
 }
@@ -785,7 +784,7 @@ accel::DeviceStatus InferenceServer::load_model(
   const std::shared_ptr<Tenant> entry = find_tenant(tenant);
   if (!entry) return accel::DeviceStatus::kNoSession;
   const std::shared_ptr<const host::ExecutionPlan> plan =
-      resolve_plan(model, entry->device_index);
+      resolve_plan(model, entry->generation);
   if (!plan) return accel::DeviceStatus::kBadOperand;
   const accel::DeviceStatus status =
       device_call(entry->device_index, [&](accel::GuardNnDevice& device) {
@@ -841,25 +840,15 @@ accel::DeviceStatus InferenceServer::replicate_model(
   if (model_store_.contains(content, target.device.store_binding()))
     return accel::DeviceStatus::kOk;
 
-  // Find a *routable* fleet device that already holds a replica: a dead
+  // The first *routable* fleet device that already holds a replica: a dead
   // device's replica is cryptographically stranded (the export path needs
   // the device's store key), and a quarantined one is not trusted to answer.
-  // Store-aware placement: the most recently touched replica's device (the
-  // one most likely warm and serving this model) is tried first.
-  const std::optional<store::BindingId> hint =
-      model_store_.preferred_binding(content);
-  std::size_t source_device = devices_.size();
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (i == target_device || !routable(i)) continue;
-    const store::BindingId& binding = devices_[i]->device.store_binding();
-    if (hint && binding == *hint) {
-      source_device = i;
-      break;
-    }
-    if (source_device == devices_.size() &&
-        model_store_.contains(content, binding))
-      source_device = i;
-  }
+  std::size_t source_device = 0;
+  while (source_device < devices_.size() &&
+         (source_device == target_device || !routable(source_device) ||
+          !model_store_.contains(
+              content, devices_[source_device]->device.store_binding())))
+    ++source_device;
   if (source_device == devices_.size()) return accel::DeviceStatus::kBadOperand;
   DeviceNode& source = *devices_[source_device];
 
@@ -941,25 +930,26 @@ accel::DeviceStatus InferenceServer::load_model_from_store(
 
   // Hot-model replication on demand: a tenant placed on a device that does
   // not yet hold the model pulls a replica over the attested re-wrap path.
-  if (!model_store_.contains(
-          content, devices_[entry->device_index]->device.store_binding())) {
-    const accel::DeviceStatus status =
-        replicate_model(content, entry->device_index);
-    if (status != accel::DeviceStatus::kOk) return status;
-  }
+  const accel::DeviceStatus status =
+      replicate_model(content, entry->device_index);
+  if (status != accel::DeviceStatus::kOk) return status;
+  return restore_model(*entry, content, model);
+}
+
+accel::DeviceStatus InferenceServer::restore_model(
+    Tenant& entry, const store::ContentId& content, const ModelHandle& model) {
   const std::shared_ptr<const host::ExecutionPlan> plan =
-      resolve_plan(model, entry->device_index);
+      resolve_plan(model, entry.generation);
   if (!plan) return accel::DeviceStatus::kBadOperand;
   const accel::DeviceStatus status = unseal_stored_model(
-      entry->device_index, entry->session, content, *plan, model.net);
+      entry.device_index, entry.session, content, *plan, model.net);
   if (status != accel::DeviceStatus::kOk) return status;
-
-  Shard& shard = table_.shard_for(tenant);
+  Shard& shard = table_.shard_for(entry.id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  entry->plan = plan;
-  entry->model_hash = model.hash;
-  entry->model_content = content;
-  entry->last_activity = Clock::now();
+  entry.plan = plan;
+  entry.model_hash = model.hash;
+  entry.model_content = content;
+  entry.last_activity = Clock::now();
   return status;
 }
 
@@ -977,12 +967,14 @@ accel::DeviceStatus InferenceServer::reset_device(std::size_t index) {
     // reaches its shard. (busy -> shard nesting is the sanctioned order;
     // nothing acquires busy while holding a shard mutex.) Purged tenants'
     // queued requests resolve kNoTenant: owned ones (worker or migration)
-    // when the owner next looks, unowned ones here.
+    // when the owner next looks, unowned ones here. Closed entries are
+    // pending reconnects, whose sessions died with the device already: they
+    // survive the reset, so a reinstated device strands no one.
     std::lock_guard<std::mutex> busy(node.busy);
     status = node.device.reset();
     table_.for_each_shard_locked([&](Shard& shard) {
       for (auto it = shard.tenants.begin(); it != shard.tenants.end();) {
-        if (it->second->device_index == index) {
+        if (it->second->device_index == index && it->second->open) {
           it->second->open = false;
           if (!it->second->scheduled) {
             for (Request& request : it->second->pending)
@@ -1058,10 +1050,9 @@ std::future<InferenceResult> InferenceServer::submit_async(
     TenantId tenant, crypto::SealedRecord sealed_input, bool attest,
     double deadline_ms) {
   // Hot path: one shard mutex, two atomic RMWs (admission), and a queue
-  // push only when the tenant turns ready. No process-global lock. (The
-  // failover map is only consulted on a tenant miss — never on the hot path
-  // — and never while the shard lock is held. Tracing disabled adds one
-  // relaxed load; every obs counter below is one relaxed RMW.)
+  // push only when the tenant turns ready. No process-global lock. (Tracing
+  // disabled adds one relaxed load; every obs counter below is one relaxed
+  // RMW.)
   const u64 trace_id = trace_.begin_trace();
   trace_.record(trace_id, obs::SpanKind::kSubmit, tenant, obs::kSpanNoDevice,
                 0);
@@ -1069,74 +1060,64 @@ std::future<InferenceResult> InferenceServer::submit_async(
   Shard& shard = table_.shard_at(shard_index);
   std::future<InferenceResult> future;
   std::shared_ptr<Tenant> ready;
-  bool miss = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.tenants.find(tenant);
-    if (it == shard.tenants.end() || !it->second->open) {
-      miss = true;
-    } else {
-      Tenant& entry = *it->second;
-      if (!entry.plan)
-        return immediate_result(trace_id, tenant, RequestOutcome::kNoModel);
-      const std::size_t bytes = sealed_input.ciphertext.size();
-      const u32 dev = static_cast<u32>(entry.device_index);
-      switch (admission_.try_admit(entry.pending.size(), bytes)) {
-        case AdmissionController::Decision::kTenantQuota:
-          ins_.rejected.inc();
-          trace_.record(trace_id, obs::SpanKind::kAdmit, tenant, dev,
-                        static_cast<u8>(RequestOutcome::kQueueFull));
-          return immediate_result(trace_id, tenant, RequestOutcome::kQueueFull);
-        case AdmissionController::Decision::kBackpressure:
-          ins_.backpressured.inc();
-          trace_.record(trace_id, obs::SpanKind::kAdmit, tenant, dev,
-                        static_cast<u8>(RequestOutcome::kBackpressure));
-          return immediate_result(trace_id, tenant,
-                                  RequestOutcome::kBackpressure);
-        case AdmissionController::Decision::kAdmit:
-          ins_.admitted.inc();
-          trace_.record(trace_id, obs::SpanKind::kAdmit, tenant, dev, 0);
-          break;
-      }
-      Request request;
-      request.sealed_input = std::move(sealed_input);
-      request.attest = attest;
-      request.charged_bytes = bytes;
-      request.trace_id = trace_id;
-      request.enqueued = Clock::now();
-      const double effective =
-          deadline_ms == 0.0 ? config_.default_deadline_ms : deadline_ms;
-      if (effective > 0.0) {
-        request.has_deadline = true;
-        request.deadline =
-            request.enqueued +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(effective));
-      }
-      entry.last_activity = request.enqueued;
-      future = request.promise.get_future();
-      entry.pending.push_back(std::move(request));
-      shard_depth_[shard_index]->record(
-          static_cast<double>(entry.pending.size()));
-      // A draining tenant keeps admitting (the request parks in the FIFO)
-      // but is never handed to a worker: the migrating thread owns the
-      // replay and flips the entry once the queue is quiescent.
-      if (!entry.scheduled && !entry.draining) {
-        entry.scheduled = true;
-        ready = it->second;
-      }
-    }
-  }
-  if (miss) {
-    // Distinguish "who?" from "your device died": a failover-pending tenant
-    // gets the retryable outcome that tells it to reconnect().
-    {
-      std::lock_guard<std::mutex> lock(failover_mu_);
-      if (failovers_.count(tenant))
+    if (it == shard.tenants.end())
+      return immediate_result(trace_id, tenant, RequestOutcome::kNoTenant);
+    Tenant& entry = *it->second;
+    // A closed entry is a failed-over tenant: the retryable outcome tells it
+    // to reconnect().
+    if (!entry.open)
+      return immediate_result(trace_id, tenant, entry.teardown_outcome);
+    if (!entry.plan)
+      return immediate_result(trace_id, tenant, RequestOutcome::kNoModel);
+    const std::size_t bytes = sealed_input.ciphertext.size();
+    const u32 dev = static_cast<u32>(entry.device_index);
+    switch (admission_.try_admit(entry.pending.size(), bytes)) {
+      case AdmissionController::Decision::kTenantQuota:
+        ins_.rejected.inc();
+        trace_.record(trace_id, obs::SpanKind::kAdmit, tenant, dev,
+                      static_cast<u8>(RequestOutcome::kQueueFull));
+        return immediate_result(trace_id, tenant, RequestOutcome::kQueueFull);
+      case AdmissionController::Decision::kBackpressure:
+        ins_.backpressured.inc();
+        trace_.record(trace_id, obs::SpanKind::kAdmit, tenant, dev,
+                      static_cast<u8>(RequestOutcome::kBackpressure));
         return immediate_result(trace_id, tenant,
-                                RequestOutcome::kDeviceFailover);
+                                RequestOutcome::kBackpressure);
+      case AdmissionController::Decision::kAdmit:
+        ins_.admitted.inc();
+        trace_.record(trace_id, obs::SpanKind::kAdmit, tenant, dev, 0);
+        break;
     }
-    return immediate_result(trace_id, tenant, RequestOutcome::kNoTenant);
+    Request request;
+    request.sealed_input = std::move(sealed_input);
+    request.attest = attest;
+    request.charged_bytes = bytes;
+    request.trace_id = trace_id;
+    request.enqueued = Clock::now();
+    const double effective =
+        deadline_ms == 0.0 ? config_.default_deadline_ms : deadline_ms;
+    if (effective > 0.0) {
+      request.has_deadline = true;
+      request.deadline =
+          request.enqueued +
+          std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double, std::milli>(effective));
+    }
+    entry.last_activity = request.enqueued;
+    future = request.promise.get_future();
+    entry.pending.push_back(std::move(request));
+    shard_depth_[shard_index]->record(
+        static_cast<double>(entry.pending.size()));
+    // A draining tenant keeps admitting (the request parks in the FIFO)
+    // but is never handed to a worker: the migrating thread owns the
+    // replay and flips the entry once the queue is quiescent.
+    if (!entry.scheduled && !entry.draining) {
+      entry.scheduled = true;
+      ready = it->second;
+    }
   }
   if (ready) make_ready(std::move(ready));
   return future;
@@ -1428,14 +1409,21 @@ void InferenceServer::run_batch(const std::shared_ptr<Tenant>& tenant) {
 
 // --- Fault tolerance / health ------------------------------------------------
 
-std::size_t InferenceServer::pick_routable_device() const {
+std::size_t InferenceServer::pick_routable_device(
+    const std::optional<store::ContentId>& content) const {
   std::size_t best = devices_.size();
+  std::pair<bool, std::size_t> best_rank;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (!routable(i)) continue;
-    if (best == devices_.size() ||
-        devices_[i]->tenant_count.load(std::memory_order_relaxed) <
-            devices_[best]->tenant_count.load(std::memory_order_relaxed))
+    // Replica holders first, then the lighter load.
+    const std::pair<bool, std::size_t> rank{
+        !(content && model_store_.contains(
+                         *content, devices_[i]->device.store_binding())),
+        devices_[i]->tenant_count.load(std::memory_order_relaxed)};
+    if (best == devices_.size() || rank < best_rank) {
       best = i;
+      best_rank = rank;
+    }
   }
   return best;
 }
@@ -1471,11 +1459,11 @@ void InferenceServer::maybe_promote_spares() {
     // (failover-pending) tenants' sealed replicas first — they are who the
     // promotion exists for — then store popularity order.
     std::vector<store::ContentId> warm;
-    {
-      std::lock_guard<std::mutex> lock(failover_mu_);
-      for (const auto& [id, record] : failovers_)
-        if (record.content) warm.push_back(*record.content);
-    }
+    table_.for_each_shard_locked([&](Shard& shard) {
+      for (const auto& [id, tenant] : shard.tenants)
+        if (!tenant->open && tenant->model_content)
+          warm.push_back(*tenant->model_content);
+    });
     for (const store::ContentId& content :
          model_store_.hot_contents(kSparePrewarmModels))
       warm.push_back(content);
@@ -1495,16 +1483,6 @@ void InferenceServer::maybe_promote_spares() {
     events_.record("promote", "spare device " + std::to_string(spare) +
                                   " promoted (" + std::to_string(warmed) +
                                   " models pre-warmed)");
-    // Point displaced tenants' reconnects at the promoted spare when their
-    // replica landed on it (store-aware placement, same as the failover
-    // pre-provisioning path).
-    {
-      std::lock_guard<std::mutex> lock(failover_mu_);
-      for (auto& [id, record] : failovers_)
-        if (!record.preferred_device && record.content &&
-            model_store_.contains(*record.content, node.device.store_binding()))
-          record.preferred_device = spare;
-    }
     // The spare is routable now: the byte budget climbs back toward the
     // full-primary-fleet value.
     rescale_admission();
@@ -1512,8 +1490,10 @@ void InferenceServer::maybe_promote_spares() {
 }
 
 bool InferenceServer::failover_pending(TenantId tenant) const {
-  std::lock_guard<std::mutex> lock(failover_mu_);
-  return failovers_.count(tenant) != 0;
+  const Shard& shard = table_.shard_for(tenant);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.tenants.find(tenant);
+  return it != shard.tenants.end() && !it->second->open;
 }
 
 accel::DeviceStatus InferenceServer::fault_gate(std::size_t device_index) {
@@ -1599,38 +1579,17 @@ void InferenceServer::note_device_dead(std::size_t device_index) {
 
 bool InferenceServer::fail_over_tenant(const std::shared_ptr<Tenant>& tenant) {
   const Clock::time_point start = Clock::now();
-  FailoverRecord record;
+  // retire keeps the closed entry in its shard: its model fields are what
+  // reconnect() restores from.
   if (!retire(tenant->id, RequestOutcome::kDeviceFailover,
-              [&](Shard&) -> std::shared_ptr<Tenant> {
-                if (!tenant->open) return nullptr;
-                record.model_hash = tenant->model_hash;
-                record.content = tenant->model_content;
-                return tenant;
-              }))
+              [&](Shard&) { return tenant->open ? tenant : nullptr; }))
     return false;  // raced with disconnect/reset/failover
-  {
-    std::lock_guard<std::mutex> lock(failover_mu_);
-    failovers_.emplace(tenant->id, record);
-  }
   ins_.failovers.inc();
   events_.record("failover", "tenant " + std::to_string(tenant->id) +
                                  " off device " +
                                  std::to_string(tenant->device_index));
   // A quarantined (still answering) device gets its slot zeroized.
   close_session(tenant->device_index, tenant->session);
-  // Pre-provision the sealed replica onto a surviving device so the
-  // tenant's reconnect() finds its model already resident. Best-effort: a
-  // model whose only replica lived on the dead device is unrecoverable
-  // (that is the honest fail-stop story — see docs).
-  if (record.content) {
-    const std::size_t target = pick_routable_device();
-    if (target < devices_.size() &&
-        replicate_model(*record.content, target) == accel::DeviceStatus::kOk) {
-      std::lock_guard<std::mutex> lock(failover_mu_);
-      auto it = failovers_.find(tenant->id);
-      if (it != failovers_.end()) it->second.preferred_device = target;
-    }
-  }
   ins_.failover_ms.record(
       std::chrono::duration<double, std::milli>(Clock::now() - start).count());
   return true;
@@ -1796,7 +1755,8 @@ std::pair<std::size_t, accel::SessionId> InferenceServer::tenant_session(
   const auto& shard = table_.shard_for(tenant);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.tenants.find(tenant);
-  if (it == shard.tenants.end()) return {0, accel::kInvalidSession};
+  if (it == shard.tenants.end() || !it->second->open)
+    return {0, accel::kInvalidSession};
   return {it->second->device_index, it->second->session};
 }
 

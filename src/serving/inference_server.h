@@ -42,21 +42,21 @@
 //     failures (healthy → degraded → quarantined, or dead on
 //     fail-stop), a monitor thread reaps per-request deadlines and fails
 //     tenants over off dead/quarantined devices — every promise resolves,
-//     the admission byte budget rescales to the surviving fleet, and sealed
-//     model replicas are pre-provisioned to healthy devices so a
-//     reconnecting tenant resumes without re-uploading weights.
+//     the admission byte budget rescales to the surviving fleet, and a
+//     reconnecting tenant lands on a routable device that holds its sealed
+//     model replica, so it resumes without re-uploading weights.
 //
 // Failure model (docs/ARCHITECTURE.md "Failure model & recovery" has the
 // full walkthrough): GuardNN sessions are fail-stop and their keys live in
 // device SRAM, so fail-stop death is cryptographically unrecoverable — no
 // server can decrypt a tenant's queued sealed records on another device,
 // because the channel keys died with the session. What *is* recoverable
-// without user involvement is the model: a sealed replica re-wraps to a
-// healthy device over the PR 4 attested handshake. Failover therefore
-// resolves every affected future with the retryable kDeviceFailover, moves
-// the model replica, and lets the tenant resume with one reconnect() — a
-// fresh ECDHE handshake, after which new submissions flow on the surviving
-// device against the already-provisioned weights.
+// without user involvement is the model: a sealed replica on a surviving
+// device restores into a fresh session. Failover therefore resolves every
+// affected future with the retryable kDeviceFailover and leaves the tenant
+// closed in its shard; one reconnect() — a migration whose source is dead —
+// rebuilds it with a fresh ECDHE handshake on a device holding the replica,
+// after which new submissions flow against the restored weights.
 #pragma once
 
 #include <atomic>
@@ -72,7 +72,6 @@
 #include <vector>
 
 #include <optional>
-#include <unordered_map>
 
 #include "host/scheduler.h"
 #include "host/user_client.h"
@@ -236,7 +235,7 @@ struct ServerStats {
   u64 evicted = 0;        ///< Idle sessions evicted to admit a new tenant.
   u64 replications = 0;   ///< Cross-device model re-wraps performed.
   u64 failovers = 0;      ///< Tenants torn down with kDeviceFailover and
-                          ///< registered for reconnect().
+                          ///< left failover-pending for reconnect().
   u64 quarantines = 0;    ///< Devices that crossed the quarantine threshold.
   u64 retries = 0;        ///< Bounded same-record retries of transient faults.
   u64 timeouts = 0;       ///< Requests resolved kTimeout (deadline or retry
@@ -307,8 +306,8 @@ class InferenceServer {
     TenantId tenant = 0;  ///< 0 when the connect failed.
     std::size_t device_index = 0;
     accel::InitSessionResponse response;
-    /// reconnect() only: the tenant's sealed model replica was provisioned
-    /// to the new device and loaded — submissions work without re-upload.
+    /// reconnect() and migrate_tenant(): the tenant's sealed model replica
+    /// was restored on the new device — submissions work without re-upload.
     bool model_restored = false;
   };
 
@@ -324,16 +323,21 @@ class InferenceServer {
                         bool integrity);
 
   /// Failover resume: re-admits a tenant whose device died or was
-  /// quarantined (its futures resolved kDeviceFailover). Establishes a
-  /// fresh session on a surviving device — `user_ephemeral` is the user's
-  /// *new* ECDHE share; the old channel keys died with the device — and,
-  /// when the tenant's model had a sealed replica, provisions + loads it so
-  /// `model_restored` comes back true and submissions immediately work.
-  /// The TenantId is preserved.
+  /// quarantined (its futures resolved kDeviceFailover). It runs
+  /// migrate_tenant's steps 3–6 with a dead source, on the least-loaded
+  /// routable device that holds the tenant's sealed replica (any routable
+  /// device when none does): a fresh session — `user_ephemeral` is the
+  /// user's *new* ECDHE share; the old keys died with the device — with
+  /// the model restored, so `model_restored` comes back true and
+  /// submissions immediately work (a model that cannot be moved is left
+  /// behind for the user to reload), then the flip. Until the flip,
+  /// submits answer kDeviceFailover. The TenantId is preserved.
   ///
   /// Returns `tenant == 0` with `response.status` kNoSession when no
-  /// failover is pending for this id, or kUnavailable when no routable
-  /// device remains.
+  /// failover is pending for this id (or a concurrent reconnect or
+  /// disconnect won), or kUnavailable when no routable device remains or
+  /// the target went down or was reset before the flip (the tenant stays
+  /// failover-pending).
   ConnectResult reconnect(TenantId tenant,
                           const crypto::AffinePoint& user_ephemeral,
                           bool integrity);
@@ -349,18 +353,20 @@ class InferenceServer {
   ///   2. wait for the in-flight batch to resolve, then claim the tenant
   ///      like a worker would;
   ///   3. seal the loaded model on the source (reusing the recorded replica
-  ///      when one exists — inference never mutates weights) and re-wrap it
-  ///      to the target over the attested 3-step provisioning handshake;
+  ///      when one exists — inference never mutates weights); the rebuild
+  ///      step that reconnect() shares re-wraps it to the target over the
+  ///      attested 3-step provisioning handshake when the target lacks it;
   ///   4. InitSession on the target with `user_ephemeral` — the user's
   ///      *fresh* ECDHE share (a session cannot move between devices; its
-  ///      keys live in SRAM) — and unseal the replica into it;
+  ///      keys live in SRAM) — and restore the replica into it;
   ///   5. replay every parked record on the *source* session, in FIFO
   ///      order: parked records are sealed under the old channel keys, and
   ///      the source session is still alive, so the channel sequence is
   ///      preserved exactly;
   ///   6. atomically flip the routing-table entry to the target-bound
   ///      session in the same critical section that observes the FIFO
-  ///      empty, close the source session, and return.
+  ///      empty — if the target is still routable at the generation its
+  ///      session opened on — close the source session, and return.
   ///
   /// The caller must stop sealing new requests under the old keys before
   /// calling (the old session's last records must be in flight or parked),
@@ -369,8 +375,8 @@ class InferenceServer {
   ///
   /// Fault interplay: if the *source* dies mid-migration the tenant degrades
   /// to the crash path (tenant == 0, parked futures resolve kDeviceFailover,
-  /// a failover record is registered for reconnect()); if the *target* dies
-  /// or rejects, the migration aborts and the tenant resumes on the source
+  /// the tenant is left failover-pending); if the *target* dies or rejects,
+  /// the migration aborts and the tenant resumes on the source
   /// untouched (tenant == 0, status from the failing step, no future lost).
   /// A tenant disconnected (or whose source is reset) mid-move is not a
   /// failure: the migration aborts and parked futures resolve kNoTenant.
@@ -479,7 +485,7 @@ class InferenceServer {
   accel::DeviceStatus reinstate_device(std::size_t index);
 
   /// True while `tenant` is torn down awaiting reconnect() (its device died
-  /// or was quarantined).
+  /// or was quarantined): its shard holds it as a closed entry.
   bool failover_pending(TenantId tenant) const;
 
   // --- Data plane ----------------------------------------------------------
@@ -624,13 +630,13 @@ class InferenceServer {
     /// is replaced wholesale, never un-drained.
     bool draining = false;
     /// Outcome the worker uses when draining a closed tenant's queue.
-    /// kNoTenant for ordinary teardown (disconnect, eviction, reset);
-    /// kDeviceFailover when the health monitor tore the tenant down.
+    /// kNoTenant for ordinary teardown (disconnect, eviction, reset), which
+    /// drops the entry; kDeviceFailover when the tenant failed over, whose
+    /// closed entry stays as the record reconnect() restores from.
     RequestOutcome teardown_outcome = RequestOutcome::kNoTenant;
-    /// Model bookkeeping for failover: what the tenant had loaded, and the
-    /// sealed replica (if any) a failover can restore from. Written under
-    /// the shard lock by load_model / load_model_from_store /
-    /// seal_tenant_model.
+    /// Model bookkeeping: what the tenant had loaded, and the sealed replica
+    /// (if any) a migration or reconnect() restores. Written under the shard
+    /// lock by load_model, seal_tenant_model and restore_model.
     std::optional<crypto::Sha256Digest> model_hash;
     std::optional<store::ContentId> model_content;
     /// Last time this tenant touched the server (connect, load, submit,
@@ -639,6 +645,9 @@ class InferenceServer {
     /// Per-tenant request counter (serving_tenant_requests_total{tenant=N}),
     /// created once at connect so the worker hot path is one relaxed inc.
     obs::Counter* requests_counter = nullptr;
+    /// Device generation `session` opened on (see make_tenant): restores
+    /// compile for it, and a flip needs the device still at it.
+    u64 generation = 0;
 
     Tenant(TenantId tenant_id, accel::GuardNnDevice& device,
            std::size_t dev_index, accel::SessionId sid)
@@ -646,7 +655,8 @@ class InferenceServer {
           device_index(dev_index),
           session(sid),
           scheduler(device, sid),
-          last_activity(Clock::now()) {}
+          last_activity(Clock::now()),
+          generation(device.device_generation()) {}
   };
 
   using Shard = TableShard<Tenant>;
@@ -688,13 +698,11 @@ class InferenceServer {
   /// (defined in the .cc, its only user).
   template <typename Command>
   accel::DeviceStatus device_call(std::size_t device_index, Command&& command);
-  /// InitSession with the bounded idle-eviction retry. `admit` registers the
-  /// session under the same busy hold, so reset_device cannot interleave;
-  /// a non-kOk `admit` closes the session again and becomes the status.
+  /// InitSession with the bounded idle-eviction retry. `admit` takes the new
+  /// session under the same busy hold, so reset_device cannot interleave.
   accel::InitSessionResponse open_session(
       std::size_t device_index, const crypto::AffinePoint& user_ephemeral,
-      bool integrity,
-      const std::function<accel::DeviceStatus(accel::SessionId)>& admit);
+      bool integrity, const std::function<void(accel::SessionId)>& admit);
   /// UnsealModel of stored `content` into `session`, then the check that the
   /// unsealed (public) descriptor has `net`'s structure: a mismatched pair
   /// must not serve garbage under a wrong-layout plan.
@@ -702,16 +710,46 @@ class InferenceServer {
       std::size_t device_index, accel::SessionId session,
       const store::ContentId& content, const host::ExecutionPlan& plan,
       const std::shared_ptr<const host::FuncNetwork>& net);
+  /// The one restore step, of load_model_from_store and rebuild_tenant: the
+  /// plan for `entry`'s generation, unseal_stored_model into its session,
+  /// then its model fields. The replica must be on `entry`'s device.
+  accel::DeviceStatus restore_model(Tenant& entry,
+                                    const store::ContentId& content,
+                                    const ModelHandle& model);
+  /// The rebuild step of migrate_tenant and reconnect: a tenant bound to a
+  /// fresh session on `target`, built off to the side for the caller to
+  /// flip in. Re-wraps the replica `content` (nullptr: no model) when the
+  /// target lacks it, runs open_session, then restore_model with `model`
+  /// (a handle with no plan compiles for the target). Fills `result`.
+  /// Returns nullptr, holding no target session, when the session cannot
+  /// open, or when `model_required` and the model cannot move; otherwise
+  /// such a model is left behind. `trace_id` tags the kMigrate phase spans.
+  std::shared_ptr<Tenant> rebuild_tenant(
+      TenantId tenant, std::size_t target,
+      const crypto::AffinePoint& user_ephemeral, bool integrity,
+      const store::ContentId* content, const ModelHandle& model,
+      bool model_required, u64 trace_id, ConnectResult& result);
+  /// The flip of migrate_tenant and reconnect, under `shard`'s lock:
+  /// replaces `current` with `fresh` and moves the device counts.
+  /// kNoSession when `current` is no longer the entry; kUnavailable when
+  /// `fresh`'s device is unroutable or past the generation its session
+  /// opened on (reset_device bumps it before its purge, under one busy
+  /// hold, so a racing reset either fails the flip or purges its result).
+  accel::DeviceStatus flip_locked(Shard& shard,
+                                  const std::shared_ptr<Tenant>& current,
+                                  const std::shared_ptr<Tenant>& fresh);
   /// The retire path: under the shard lock, flips the entry `pick` selects
-  /// closed with `outcome`, erases it and drops its device's tenant_count;
-  /// then drains the queue unless a worker or migration owns it. nullptr:
-  /// none picked.
+  /// closed with `outcome`, erases it (a failed-over entry stays) and drops
+  /// its device's tenant_count; then drains the queue unless a worker or
+  /// migration owns it. nullptr: none picked.
   std::shared_ptr<Tenant> retire(
       TenantId tenant, RequestOutcome outcome,
       const std::function<std::shared_ptr<Tenant>(Shard&)>& pick);
   /// CloseSession; kUnavailable without a call when the device is dead.
   accel::DeviceStatus close_session(std::size_t device_index,
                                     accel::SessionId session);
+  /// Call inside an open_session admit, so Tenant::generation is the
+  /// session's.
   std::shared_ptr<Tenant> make_tenant(TenantId tenant, std::size_t device_index,
                                       accel::SessionId session);
   std::shared_ptr<const host::FuncNetwork> cached_net(
@@ -724,10 +762,10 @@ class InferenceServer {
       const crypto::Sha256Digest& hash, const host::FuncNetwork& net,
       u64 generation);
 
-  /// Resolves the plan a tenant on `device_index` must execute for `model`,
-  /// recompiling when the handle predates the device's generation.
+  /// Resolves the plan a tenant at device `generation` must execute for
+  /// `model`, recompiling when the handle was compiled for another one.
   std::shared_ptr<const host::ExecutionPlan> resolve_plan(
-      const ModelHandle& model, std::size_t device_index);
+      const ModelHandle& model, u64 generation);
 
   static std::size_t derived_shard_count(const ServerConfig& config);
   /// The admission byte budget with `routable_devices` of the primary fleet
@@ -736,18 +774,10 @@ class InferenceServer {
                                  std::size_t routable_devices);
 
   // --- Fault tolerance internals -------------------------------------------
-  // Lock ordering: the failover map mutex, any shard mutex, and plan_mu_ are
-  // never held together (busy → shard nesting is the one sanctioned pair,
-  // inherited from run_batch). handle_device_down works in passes: collect
-  // victims under shard locks, register failover records under failover_mu_,
-  // then drain/resolve with no lock held.
-
-  /// What reconnect() needs to resume a failed-over tenant.
-  struct FailoverRecord {
-    std::optional<std::size_t> preferred_device;  ///< Pre-provisioned target.
-    std::optional<store::ContentId> content;  ///< Sealed replica in the store.
-    std::optional<crypto::Sha256Digest> model_hash;
-  };
+  // Lock ordering: a shard mutex and plan_mu_ are never held together
+  // (busy → shard nesting is the one sanctioned pair, inherited from
+  // run_batch). handle_device_down works in passes: collect victims under
+  // shard locks, then tear each down and drain/resolve with no lock held.
 
   /// Monitor thread: fail-stop detection, down-device handling (tenant
   /// failover + budget rescale + plan prune) and deadline reaping.
@@ -757,12 +787,12 @@ class InferenceServer {
   /// Marks a device dead (fail-stop observed); the monitor does the rest.
   void note_device_dead(std::size_t device_index);
   /// Tears down every tenant on a dead/quarantined device: futures resolve
-  /// kDeviceFailover, failover records are registered, sealed replicas are
-  /// pre-provisioned to a healthy device, the budget rescales.
+  /// kDeviceFailover, each tenant is left failover-pending, the budget
+  /// rescales.
   void handle_device_down(std::size_t device_index);
-  /// One tenant's failover teardown (open → closed, pending drained with
-  /// kDeviceFailover, record registered, replica pre-provisioned). Safe to
-  /// race — only the caller that flips `open` does the bookkeeping. Returns
+  /// One tenant's failover teardown (open → closed and kept in its shard,
+  /// pending drained with kDeviceFailover, session closed). Safe to race —
+  /// only the caller that flips `open` does the bookkeeping. Returns
   /// whether this call did the transition. Caller must hold no lock.
   bool fail_over_tenant(const std::shared_ptr<Tenant>& tenant);
   /// Rescales the admission byte budget to the routable device count and
@@ -779,8 +809,11 @@ class InferenceServer {
            !faults_.dead(device_index) &&
            !devices_[device_index]->standby.load(std::memory_order_acquire);
   }
-  /// Least-loaded routable device; devices_.size() when none remains.
-  std::size_t pick_routable_device() const;
+  /// Placement, read from the replica index: the least-loaded routable
+  /// device that holds a replica of `content`, else the least-loaded
+  /// routable device; devices_.size() when none remains.
+  std::size_t pick_routable_device(
+      const std::optional<store::ContentId>& content = std::nullopt) const;
   /// The control-plane fault gate: one injector decision before a device
   /// command, made only inside device_call. kOk = proceed; kUnavailable =
   /// death/drop (command lost); kIntegrityFailure = transient fault (record
@@ -858,10 +891,6 @@ class InferenceServer {
                               DeviceHealth to, const char* cause);
 
   FaultInjector faults_;
-  /// Tenants torn down by failover, awaiting reconnect(). Guarded by
-  /// failover_mu_; never held together with a shard lock or plan_mu_.
-  mutable std::mutex failover_mu_;
-  std::unordered_map<TenantId, FailoverRecord> failovers_;
 
   std::mutex plan_mu_;
   /// Keyed on (model hash, device generation): a device reset invalidates

@@ -166,7 +166,7 @@ std::optional<ContentId> ModelStore::put(const SealedBlob& blob) {
   auto it = replicas.find(blob.header.binding_id);
   if (it != replicas.end()) {
     stats_.dedup_hits += 1;
-    touch_locked(blob.header.content_id, blob.header.binding_id);
+    access_counts_[blob.header.content_id] += 1;
     if (metrics_.dedup_hits) metrics_.dedup_hits->inc();
     return blob.header.content_id;
   }
@@ -178,7 +178,7 @@ std::optional<ContentId> ModelStore::put(const SealedBlob& blob) {
   replicas[blob.header.binding_id] = Replica{key, wire_bytes};
   stats_.puts += 1;
   stats_.bytes_stored += wire_bytes;
-  touch_locked(blob.header.content_id, blob.header.binding_id);
+  access_counts_[blob.header.content_id] += 1;
   if (metrics_.puts) metrics_.puts->inc();
   if (metrics_.stored_bytes)
     metrics_.stored_bytes->set(static_cast<double>(stats_.bytes_stored));
@@ -202,16 +202,9 @@ std::optional<SealedBlob> ModelStore::get(const ContentId& content,
   std::optional<SealedBlob> blob = SealedBlob::deserialize(std::move(*bytes));
   if (!blob) return miss();
   stats_.get_hits += 1;
-  touch_locked(content, binding);
+  access_counts_[content] += 1;
   if (metrics_.get_hits) metrics_.get_hits->inc();
   return blob;
-}
-
-void ModelStore::touch_locked(const ContentId& content,
-                              const BindingId& binding) const {
-  AccessInfo& info = access_[content];
-  info.count += 1;
-  info.last_touch[binding] = ++access_clock_;
 }
 
 std::vector<ContentId> ModelStore::hot_contents(std::size_t limit) const {
@@ -221,8 +214,8 @@ std::vector<ContentId> ModelStore::hot_contents(std::size_t limit) const {
   std::vector<std::pair<u64, ContentId>> ranked;
   ranked.reserve(index_.size());
   for (const auto& [content, replicas] : index_) {
-    auto it = access_.find(content);
-    ranked.emplace_back(it != access_.end() ? it->second.count : 0, content);
+    auto it = access_counts_.find(content);
+    ranked.emplace_back(it != access_counts_.end() ? it->second : 0, content);
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -233,28 +226,6 @@ std::vector<ContentId> ModelStore::hot_contents(std::size_t limit) const {
     out.push_back(content);
   }
   return out;
-}
-
-std::optional<BindingId> ModelStore::preferred_binding(
-    const ContentId& content) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(content);
-  if (it == index_.end() || it->second.empty()) return std::nullopt;
-  const auto access = access_.find(content);
-  std::optional<BindingId> best;
-  u64 best_touch = 0;
-  for (const auto& [binding, replica] : it->second) {
-    u64 touch = 0;
-    if (access != access_.end()) {
-      auto t = access->second.last_touch.find(binding);
-      if (t != access->second.last_touch.end()) touch = t->second;
-    }
-    if (!best || touch > best_touch) {
-      best = binding;
-      best_touch = touch;
-    }
-  }
-  return best;
 }
 
 bool ModelStore::contains(const ContentId& content,
@@ -293,11 +264,10 @@ bool ModelStore::erase(const ContentId& content, const BindingId& binding) {
     metrics_.stored_bytes->set(static_cast<double>(stats_.bytes_stored));
   backend_->remove(replica->second.key);
   it->second.erase(replica);
-  if (auto access = access_.find(content); access != access_.end()) {
-    access->second.last_touch.erase(binding);
-    if (it->second.empty()) access_.erase(access);
+  if (it->second.empty()) {
+    access_counts_.erase(content);
+    index_.erase(it);
   }
-  if (it->second.empty()) index_.erase(it);
   return true;
 }
 

@@ -111,20 +111,10 @@ class ModelStore {
   /// Every distinct model in the store.
   std::vector<ContentId> contents() const;
 
-  // --- Placement hints -------------------------------------------------------
-  // The store counts per-content accesses (get() hits and put() touches) and
-  // stamps each replica with a monotonic access ordinal. The serving layer
-  // uses both as placement signals: hot_contents() is what a freshly promoted
-  // hot spare pre-warms with, preferred_binding() picks the re-wrap source a
-  // replication should read from.
-
-  /// Up to `limit` stored models ordered by access count, hottest first.
+  /// Up to `limit` stored models ordered by access count (get() hits and
+  /// put() touches), hottest first: what a freshly promoted hot spare
+  /// pre-warms with.
   std::vector<ContentId> hot_contents(std::size_t limit) const;
-
-  /// The most recently touched replica binding of `content` (the device most
-  /// likely to still be healthy and serving it), or nullopt when no replica
-  /// exists.
-  std::optional<BindingId> preferred_binding(const ContentId& content) const;
 
   /// Drops one replica. Returns false when it was not present.
   bool erase(const ContentId& content, const BindingId& binding);
@@ -143,8 +133,6 @@ class ModelStore {
  private:
   static std::string key_for(const ContentId& content, const BindingId& binding);
   void reindex_locked();
-  /// Advances the access clock for (content, binding); caller holds mu_.
-  void touch_locked(const ContentId& content, const BindingId& binding) const;
 
   /// One stored replica: its backend key and wire size (what erase()
   /// returns to bytes_stored without reloading the blob).
@@ -160,15 +148,9 @@ class ModelStore {
   /// Mutable: get() is logically const but counts its hit/miss.
   mutable StoreStats stats_;
 
-  /// Placement-hint bookkeeping (mutable: get() touches it). `count` ranks
-  /// contents for hot_contents(); `last_touch` ordinals rank replicas for
-  /// preferred_binding(). Entries follow index_ lifetimes.
-  struct AccessInfo {
-    u64 count = 0;
-    std::map<BindingId, u64> last_touch;
-  };
-  mutable std::map<ContentId, AccessInfo> access_;
-  mutable u64 access_clock_ = 0;
+  /// Per-content access counts that rank hot_contents() (mutable: get()
+  /// counts). Entries follow index_ lifetimes.
+  mutable std::map<ContentId, u64> access_counts_;
 
   struct BoundMetrics {
     obs::Counter* puts = nullptr;

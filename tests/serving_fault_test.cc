@@ -576,6 +576,152 @@ TEST(Failover, DroppedCompletionWoundsSessionDeviceSurvives) {
   EXPECT_EQ(*output, host::reference_run(net, input));
 }
 
+TEST(Failover, PendingReconnectSurvivesReinstateOfDeadDevice) {
+  // Reinstating the dead device resets it and purges its tenants, but a
+  // tenant already failed over off it is no longer one of them: it stays
+  // failover-pending, keeps answering the retryable outcome, and its
+  // reconnect still restores the sealed model.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork net = small_cnn(10100);
+  TenantClient client;
+  ASSERT_TRUE(client.connect(server, env.ca.public_key(), 10101));
+  ASSERT_TRUE(client.load(server, net));
+  const std::size_t doomed = client.device_index;
+  store::ContentId content{};
+  ASSERT_EQ(server.seal_tenant_model(client.tenant,
+                                     host::serialize_descriptor(net), content),
+            DeviceStatus::kOk);
+  ASSERT_EQ(server.replicate_model(content, 1 - doomed), DeviceStatus::kOk);
+
+  server.faults().kill(doomed);
+  ASSERT_TRUE(eventually([&] { return server.failover_pending(client.tenant); }));
+  server.faults().revive(doomed);
+  ASSERT_EQ(server.reinstate_device(doomed), DeviceStatus::kOk);
+
+  EXPECT_TRUE(server.failover_pending(client.tenant))
+      << "reinstating the dead device dropped the pending reconnect";
+  // An unsealed probe: the old channel is gone, so nothing is consumed.
+  crypto::SealedRecord probe;
+  EXPECT_EQ(server.submit(client.tenant, probe).outcome,
+            RequestOutcome::kDeviceFailover);
+
+  const auto resumed = client.reconnect(server);
+  ASSERT_EQ(resumed.tenant, client.tenant);
+  EXPECT_TRUE(resumed.model_restored);
+  EXPECT_FALSE(server.failover_pending(client.tenant));
+  const functional::Tensor input = random_input(net, 10110);
+  const InferenceResult result =
+      server.submit(client.tenant, client.user->seal(tensor_bytes(input)));
+  ASSERT_EQ(result.outcome, RequestOutcome::kOk) << outcome_name(result.outcome);
+  const auto output = client.user->open_output(result.sealed_output);
+  ASSERT_TRUE(output.has_value());
+  EXPECT_EQ(*output, host::reference_run(net, input));
+}
+
+TEST(Failover, DisconnectAbandonsPendingReconnect) {
+  // Disconnecting a failed-over tenant abandons its pending reconnect: the
+  // id is unknown from then on, not failover-pending.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork net = small_cnn(10200);
+  TenantClient client;
+  ASSERT_TRUE(client.connect(server, env.ca.public_key(), 10201));
+  ASSERT_TRUE(client.load(server, net));
+
+  server.faults().kill(client.device_index);
+  ASSERT_TRUE(eventually([&] { return server.failover_pending(client.tenant); }));
+
+  EXPECT_EQ(server.disconnect(client.tenant), DeviceStatus::kNoSession);
+  EXPECT_FALSE(server.failover_pending(client.tenant));
+  crypto::SealedRecord probe;
+  EXPECT_EQ(server.submit(client.tenant, probe).outcome,
+            RequestOutcome::kNoTenant);
+  const auto resumed =
+      server.reconnect(client.tenant, client.user->begin_session(), true);
+  EXPECT_EQ(resumed.tenant, 0u);
+  EXPECT_EQ(resumed.response.status, DeviceStatus::kNoSession);
+}
+
+TEST(Failover, ConcurrentReconnectsOneWinsNoSessionLeaks) {
+  // Two reconnects of one failed-over tenant race. Exactly one resumes it;
+  // the other answers kNoSession and gives back any session it opened, so
+  // every open device session belongs to a live tenant.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork net = small_cnn(10300);
+  TenantClient victim, bystander;
+  ASSERT_TRUE(victim.connect(server, env.ca.public_key(), 10301));
+  ASSERT_TRUE(bystander.connect(server, env.ca.public_key(), 10302));
+  ASSERT_TRUE(victim.load(server, net));
+  ASSERT_TRUE(bystander.load(server, net));
+
+  // A dropped completion wounds the victim's session but not its device,
+  // so the failover closes the old slot and the session counts are exact.
+  server.faults().script_drop(victim.device_index, 1);
+  EXPECT_EQ(server
+                .submit(victim.tenant,
+                        victim.user->seal(tensor_bytes(random_input(net, 10310))))
+                .outcome,
+            RequestOutcome::kDeviceFailover);
+  ASSERT_TRUE(eventually([&] { return server.failover_pending(victim.tenant); }));
+
+  std::array<std::unique_ptr<RemoteUser>, 2> users;
+  std::array<crypto::AffinePoint, 2> shares;
+  for (std::size_t i = 0; i < 2; ++i) {
+    users[i] = std::make_unique<RemoteUser>(
+        env.ca.public_key(), Bytes{0x7a, static_cast<u8>(i)});
+    shares[i] = users[i]->begin_session();
+  }
+  std::array<InferenceServer::ConnectResult, 2> results;
+  {
+    std::array<std::thread, 2> racers;
+    for (std::size_t i = 0; i < 2; ++i)
+      racers[i] = std::thread([&, i] {
+        results[i] = server.reconnect(victim.tenant, shares[i], true);
+      });
+    for (auto& racer : racers) racer.join();
+  }
+  const std::size_t winners = (results[0].tenant == victim.tenant ? 1 : 0) +
+                              (results[1].tenant == victim.tenant ? 1 : 0);
+  ASSERT_EQ(winners, 1u);
+  const std::size_t w = results[0].tenant == victim.tenant ? 0 : 1;
+  EXPECT_EQ(results[1 - w].tenant, 0u);
+  EXPECT_EQ(results[1 - w].response.status, DeviceStatus::kNoSession);
+  EXPECT_FALSE(server.failover_pending(victim.tenant));
+
+  std::size_t sessions = 0;
+  for (std::size_t d = 0; d < server.device_count(); ++d)
+    sessions += server.device(d).session_count();
+  EXPECT_EQ(sessions, 2u) << "victim and bystander hold one session each";
+
+  // The winner's handshake completes and the tenant serves again.
+  ASSERT_TRUE(users[w]->attest_device(server.get_pk(results[w].device_index)));
+  ASSERT_TRUE(users[w]->complete_session(results[w].response));
+  ASSERT_EQ(server.load_model(victim.tenant, victim.model,
+                              users[w]->seal(victim.model.plan->weight_blob)),
+            DeviceStatus::kOk);
+  const functional::Tensor input = random_input(net, 10311);
+  const InferenceResult result =
+      server.submit(victim.tenant, users[w]->seal(tensor_bytes(input)));
+  ASSERT_EQ(result.outcome, RequestOutcome::kOk) << outcome_name(result.outcome);
+  const auto output = users[w]->open_output(result.sealed_output);
+  ASSERT_TRUE(output.has_value());
+  EXPECT_EQ(*output, host::reference_run(net, input));
+}
+
 // --- Teardown of a worker-owned tenant ---------------------------------------
 // A tenant waiting in a ready queue belongs to the worker that will pop it,
 // so teardown leaves its FIFO to that worker. A scripted wedge holds the only

@@ -356,6 +356,65 @@ TEST(DeviceTraining, MaxPoolBackwardOnDevice) {
   EXPECT_EQ(*exported, Bytes(ref.bytes().begin(), ref.bytes().end()));
 }
 
+TEST(DeviceTraining, GoldenSgdUpdateTraceCountersAndWeightsPinned) {
+  // FullStepMatchesReference checks the updated weights' plaintext; this
+  // pins one SGD update to recorded values instead: the MPU access trace,
+  // the MPU byte counters, the modeled latency and the updated weight
+  // region's ciphertext and MAC slots. An update-path change that keeps the
+  // weights and the simulated statistics identical leaves all four
+  // untouched.
+  TrainBench bench;
+  ASSERT_TRUE(bench.establish());
+  auto& dev = bench.device;
+  const accel::SessionId sid = bench.user.session_id();
+  ASSERT_EQ(dev.set_weight(sid, bench.user.seal(bench.weight_blob()), kWBase),
+            DeviceStatus::kOk);
+  // A 1 KiB gradient blob imported as input #1 (write VN 1|0).
+  Xoshiro256 rng(57);
+  Bytes grads(1024);
+  for (auto& b : grads)
+    b = static_cast<u8>(static_cast<i8>(static_cast<int>(rng.next_below(33)) - 16));
+  ASSERT_EQ(dev.set_input(sid, bench.user.seal(grads), kGradBlob),
+            DeviceStatus::kOk);
+
+  ForwardOp update;
+  update.kind = ForwardOp::Kind::kSgdUpdate;
+  update.in_c = 1024; update.in_h = 1; update.in_w = 1;
+  update.requant_shift = TrainBench::kLrShift;
+  update.input_addr = kGradBlob;
+  update.weight_addr = kWBase;
+  ASSERT_EQ(dev.set_read_ctr(sid, kGradBlob, 1024, 1ULL << 32),
+            DeviceStatus::kOk);
+  ASSERT_EQ(dev.forward(sid, update), DeviceStatus::kOk);
+
+  const auto& trace = dev.access_trace(sid);
+  crypto::Sha256 trace_hash;
+  for (const auto& [address, is_write] : trace) {
+    u8 entry[9];
+    store_be64(entry, address);
+    entry[8] = is_write ? 1 : 0;
+    trace_hash.update(BytesView(entry, sizeof(entry)));
+  }
+  EXPECT_EQ(trace.size(), 16u);
+  EXPECT_EQ(to_hex(trace_hash.finalize()),
+            "c15022b59cd0ccb611cd2ae17f83408af7cb2b9704ac9c8d12947413ca02632b");
+
+  const accel::MpuByteCounters& counters = dev.mpu_byte_counters();
+  EXPECT_EQ(counters.bytes_encrypted.load(), 5120u);
+  EXPECT_EQ(counters.bytes_macd.load(), 5120u);
+  EXPECT_DOUBLE_EQ(dev.elapsed_ms(), 23.150640000000006);
+
+  constexpr u64 kChunk = accel::MemoryProtectionUnit::kChunkBytes;
+  const u64 phys = accel::GuardNnDevice::partition_base(sid) + kWBase;
+  crypto::Sha256 weights_hash;
+  weights_hash.update(bench.memory.read(phys, 1024));
+  weights_hash.update(bench.memory.read(
+      accel::MemoryProtectionUnit::kMacRegionBase + phys / kChunk * 8,
+      1024 / kChunk * 8));
+  EXPECT_EQ(to_hex(weights_hash.finalize()),
+            "185c3f41c5a02a59532952167e020948f083be33530e2a77d9438b25ab078bb0");
+}
+
 TEST(DeviceTraining, StaleGradientReplayDetected) {
   // An adversary substituting an old gradient (wrong CTR_F,R epoch) makes
   // the MAC check fail under integrity protection.
