@@ -173,9 +173,9 @@ def marker_json(bench_name):
             continue
     return None
 
-# Sealed model store: SealModel/UnsealModel GB/s (steady + cold through the
-# fused pipeline) and cross-device replication latency (p50/p99 of the
-# attested 3-step re-wrap).
+# Sealed model store: SealModel/UnsealModel GB/s (the fused pipeline with
+# every hash pass, as the serving and checkpoint loops run it) and
+# cross-device replication latency (p50/p99 of the attested 3-step re-wrap).
 def model_store():
     return marker_json("bench_model_store")
 

@@ -85,15 +85,6 @@ crypto::Sha256Digest SignOutputResponse::report_digest() const {
   return hasher.finalize();
 }
 
-void GuardNnDevice::Session::invalidate_hash_cache_on_write(u64 addr,
-                                                            u64 bytes) {
-  if (!hash_cache.valid) return;
-  const u64 write_end = addr + pad_region(bytes);
-  const u64 cache_end = hash_cache.addr + pad_region(hash_cache.bytes);
-  if (addr < cache_end && hash_cache.addr < write_end)
-    hash_cache.valid = false;
-}
-
 void GuardNnDevice::Session::zeroize() {
   secure_zero(keys.enc_key.data(), keys.enc_key.size());
   secure_zero(keys.mac_key.data(), keys.mac_key.size());
@@ -193,7 +184,7 @@ InitSessionResponse GuardNnDevice::init_session(
       MemoryProtectionUnit(memory_, mem_enc_key, mem_mac_key, integrity),
       memprot::VnGenerator{},
       slot_index * kSessionDramBytes,
-      {}, {}, {}, AttestationChain{}, false, SealHashCache{}});
+      {}, {}, {}, AttestationChain{}, false});
   slot.session->mpu.set_byte_counters(&mpu_counters_);
   slot.session->chain.reset();
 
@@ -270,10 +261,6 @@ DeviceStatus GuardNnDevice::import_region(Session& s,
     s.vn.on_set_input();
     vn = s.vn.feature_write_vn();
     data_hash = &s.input_hash;
-    // A CTR_F write over the cached weight range changes bytes the cached
-    // content id no longer describes (CTR_W writes invalidate via the VN
-    // check instead).
-    s.invalidate_hash_cache_on_write(addr, plaintext->size());
   }
 
   // Hash the imported data for remote attestation.
@@ -562,7 +549,6 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
   u64 out_phys = 0;
   if (!translate(s, op.output_addr, pad_region(result.size()), out_phys))
     return DeviceStatus::kBadOperand;
-  s.invalidate_hash_cache_on_write(op.output_addr, result.size());
   MpuImportStream writer(s.mpu, out_phys, result.size(), s.vn.feature_write_vn());
   writer.next(result.bytes());
   writer.finish();
@@ -662,25 +648,8 @@ DeviceStatus GuardNnDevice::seal_model(SessionId sid, u64 weight_addr,
     return DeviceStatus::kIntegrityFailure;
   }
 
-  // Content id: one SHA-256 over (descriptor || weights), or the session
-  // cache when this exact region state was hashed before (checkpoint loops,
-  // replica fan-out) — the pass the ROADMAP's seal-throughput item called
-  // out as the residual non-AES cost.
-  SealHashCache& cache = s->hash_cache;
-  if (!cache.valid || cache.addr != weight_addr ||
-      cache.bytes != weight_bytes || cache.vn != weight_vn ||
-      cache.descriptor.size() != descriptor.size() ||
-      !std::equal(descriptor.begin(), descriptor.end(),
-                  cache.descriptor.begin())) {
-    cache.content_id =
-        store::package_content_id(descriptor, BytesView(weights));
-    cache.addr = weight_addr;
-    cache.bytes = weight_bytes;
-    cache.vn = weight_vn;
-    cache.descriptor.assign(descriptor.begin(), descriptor.end());
-    cache.valid = true;
-  }
-  out = writer.finish(cache.content_id);
+  // Content id: one SHA-256 over (descriptor || weights) as just streamed.
+  out = writer.finish(store::package_content_id(descriptor, weights));
   latency_.add_import(weight_bytes);  // bounded by the same AES path
 
   u8 operand[16 + sizeof(out.header.content_id)];
@@ -726,39 +695,10 @@ DeviceStatus GuardNnDevice::unseal_model(SessionId sid,
   }
 
   // Defense in depth: the authenticated content id must match the model
-  // bytes actually inside the package, and the attestation weight hash must
-  // cover the loaded plaintext. Both are SHA-256 passes over megabytes of
-  // weights; the verified-blob memo skips them when this exact blob — same
-  // chain MAC, nonce, content id and size, all MAC-verified again just now —
-  // already passed them on an earlier unseal.
-  crypto::Sha256Digest weight_hash;
-  std::size_t memo_index = verified_blobs_.size();
-  for (std::size_t i = 0; i < verified_blobs_.size(); ++i) {
-    const VerifiedBlobMemo& m = verified_blobs_[i];
-    if (m.chain_mac == blob.chain_mac && m.nonce == blob.header.nonce &&
-        m.content_id == blob.header.content_id &&
-        m.plaintext_bytes == blob.header.plaintext_bytes) {
-      memo_index = i;
-      break;
-    }
-  }
-  if (memo_index < verified_blobs_.size()) {
-    weight_hash = verified_blobs_[memo_index].weight_hash;
-    // LRU touch.
-    std::rotate(verified_blobs_.begin() + static_cast<long>(memo_index),
-                verified_blobs_.begin() + static_cast<long>(memo_index) + 1,
-                verified_blobs_.end());
-  } else {
-    if (view->content_id() != blob.header.content_id) {
-      wipe();
-      return DeviceStatus::kBadRecord;
-    }
-    weight_hash = crypto::Sha256::hash(view->weights);
-    if (verified_blobs_.size() >= kMaxVerifiedBlobMemos)
-      verified_blobs_.erase(verified_blobs_.begin());
-    verified_blobs_.push_back({blob.chain_mac, blob.header.nonce,
-                               blob.header.content_id,
-                               blob.header.plaintext_bytes, weight_hash});
+  // bytes actually inside the package.
+  if (view->content_id() != blob.header.content_id) {
+    wipe();
+    return DeviceStatus::kBadRecord;
   }
 
   u64 phys = 0;
@@ -772,22 +712,12 @@ DeviceStatus GuardNnDevice::unseal_model(SessionId sid,
   // stream owns the chunk zero-padding), record the weight hash so
   // SignOutput attests the provenance of the loaded model.
   s->vn.on_set_weight();
-  s->weight_hash = weight_hash;
+  s->weight_hash = crypto::Sha256::hash(view->weights);
   MpuImportStream importer(s->mpu, phys, view->weights.size(),
                            s->vn.weight_vn());
   importer.next(view->weights);
   importer.finish();
   latency_.add_import(blob.header.plaintext_bytes);
-
-  // The freshly loaded region's content id is the blob's — prime the seal
-  // cache so a checkpoint taken right after a restore skips its hash pass.
-  s->hash_cache.valid = true;
-  s->hash_cache.addr = weight_addr;
-  s->hash_cache.bytes = view->weights.size();
-  s->hash_cache.vn = s->vn.weight_vn();
-  s->hash_cache.descriptor.assign(view->descriptor.begin(),
-                                  view->descriptor.end());
-  s->hash_cache.content_id = blob.header.content_id;
 
   descriptor_out.assign(view->descriptor.begin(), view->descriptor.end());
   if (checkpoint_vn_out) *checkpoint_vn_out = view->weight_vn;
@@ -930,7 +860,6 @@ DeviceStatus GuardNnDevice::reset() {
                 sizeof(pending_provision_->private_key.limb));
     pending_provision_.reset();
   }
-  verified_blobs_.clear();
   generation_ += 1;
   return DeviceStatus::kOk;
 }

@@ -192,10 +192,8 @@ class GuardNnDevice {
   /// verified crypto::kCmacLanes CBC chains at a time) and decrypts
   /// directly into the SealedBlobWriter's buffer, which is then encrypted
   /// in place — the plaintext exists exactly once, inside the trusted
-  /// boundary. The SHA-256 content id is served from a per-session cache
-  /// when the exact (address, size, CTR_W, descriptor) was hashed before
-  /// (checkpoint loops, replica fan-out); any overlapping write or CTR_W
-  /// bump invalidates it. `out`'s previous ciphertext buffer is recycled.
+  /// boundary. Every seal computes the SHA-256 content id over the package
+  /// it just streamed. `out`'s previous ciphertext buffer is recycled.
   ///
   /// Preconditions: `weight_addr` 512 B aligned and session-local;
   /// `0 < weight_bytes <= kSessionDramBytes`; the padded region must lie
@@ -216,10 +214,8 @@ class GuardNnDevice {
   /// Fused data path: a SealedBlobReader verifies the chain MAC and every
   /// chunk MAC up front (lane-batched), the payload is parsed zero-copy,
   /// and an MpuImportStream writes the weights through the MPU without a
-  /// separate padded buffer. Repeat loads of a blob this device already
-  /// fully verified skip only the redundant SHA-256 re-checks (content id,
-  /// attestation weight hash) via a bounded LRU memo — MAC verification
-  /// always runs in full, so tampering between loads still fails.
+  /// separate padded buffer. Every unseal re-checks the content id against
+  /// the package and hashes the weights for attestation.
   ///
   /// Preconditions: `weight_addr` 512 B aligned, session-local, with room
   /// for the blob's weights in the session partition.
@@ -294,40 +290,6 @@ class GuardNnDevice {
   const MpuByteCounters& mpu_byte_counters() const { return mpu_counters_; }
 
  private:
-  /// Cached content id of a session's weight region — the expensive SHA-256
-  /// over (descriptor || weights) that SealModel otherwise recomputes per
-  /// seal. A hit requires the exact (address, byte count, CTR_W, descriptor)
-  /// the id was computed under: any SetWeight / SGD update / UnsealModel
-  /// bumps CTR_W and misses implicitly; feature writes that overlap the
-  /// cached range (SetInput, Forward outputs) invalidate explicitly. Content
-  /// ids are host-visible (blob headers carry them), so the cache holds no
-  /// secret.
-  struct SealHashCache {
-    bool valid = false;
-    u64 addr = 0;
-    u64 bytes = 0;
-    u64 vn = 0;
-    Bytes descriptor;
-    store::ContentId content_id{};
-  };
-
-  /// One fully verified blob the device has unsealed before: every field the
-  /// plaintext re-checks would recompute, keyed by the blob's authenticated
-  /// identity (chain MAC + nonce + content id + size — the chain MAC covers
-  /// the chunk-MAC list, which in turn authenticates every ciphertext byte,
-  /// so an equal key under the unchanged root key implies equal plaintext).
-  /// A memo hit still re-verifies every MAC; it only skips the redundant
-  /// SHA-256 passes (content-id re-check, attestation weight hash), which is
-  /// what makes repeated UnsealModel of one replica run at the AES rate.
-  struct VerifiedBlobMemo {
-    crypto::AesBlock chain_mac{};
-    crypto::AesBlock nonce{};
-    store::ContentId content_id{};
-    u64 plaintext_bytes = 0;
-    crypto::Sha256Digest weight_hash{};
-  };
-  static constexpr std::size_t kMaxVerifiedBlobMemos = 16;
-
   struct Session {
     crypto::SessionKeys keys;
     crypto::ChannelReceiver from_user;
@@ -340,12 +302,6 @@ class GuardNnDevice {
     crypto::Sha256Digest output_hash{};
     AttestationChain chain;
     bool dead = false;  ///< Set on integrity failure.
-    SealHashCache hash_cache;
-
-    /// Drops the cached content id when a CTR_F write lands inside the
-    /// cached weight range (session-local addresses; CTR_W writes are
-    /// covered by the cache's VN check instead).
-    void invalidate_hash_cache_on_write(u64 addr, u64 bytes);
 
     /// CloseSession: wipe every secret the session holds, in place.
     void zeroize();
@@ -405,9 +361,6 @@ class GuardNnDevice {
   store::BindingId store_binding_{};
   /// Pending provision_begin ephemeral (target side of the handshake).
   std::optional<crypto::EcdhKeyPair> pending_provision_;
-  /// LRU memo of fully verified blobs (see VerifiedBlobMemo). Guarded by
-  /// mu_; cleared on reset().
-  std::vector<VerifiedBlobMemo> verified_blobs_;
   /// UnsealModel payload staging, reused across calls so the steady-state
   /// path never reallocates (or re-faults) megabytes per load. Guarded by
   /// mu_; zero-wiped after every use, so it never holds plaintext at rest.

@@ -127,11 +127,6 @@ std::vector<MetricSample> MetricRegistry::snapshot() const {
   return out;
 }
 
-MetricRegistry& MetricRegistry::global() {
-  static MetricRegistry registry;
-  return registry;
-}
-
 EventLog::EventLog(std::size_t capacity)
     : capacity_(capacity ? capacity : 1), epoch_(Clock::now()) {}
 

@@ -1,4 +1,4 @@
-// Process-wide metrics for the serving fleet: counters, gauges and
+// Metrics for the serving fleet: counters, gauges and
 // log-bucketed latency histograms behind one labeled registry.
 //
 // The design target is the submit hot path of the InferenceServer, which
@@ -64,12 +64,12 @@ class Counter {
   std::atomic<u64> value_{0};
 };
 
-/// Point-in-time value (queue depth, byte budget, health code). set/add are
-/// relaxed atomics; typically sampled by the exporter, not on the hot path.
+/// Point-in-time value (queue depth, byte budget, health code). set is a
+/// relaxed atomic store; typically sampled by the exporter, not on the hot
+/// path.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) { value_.fetch_add(d, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -216,11 +216,6 @@ class MetricRegistry {
   /// (see file header); histogram percentiles are computed from one coherent
   /// bucket read.
   std::vector<MetricSample> snapshot() const;
-
-  /// The process-wide registry, for metrics that outlive any one server.
-  /// (InferenceServer owns a private registry instead, so several fleets in
-  /// one process — the test suites — never collide.)
-  static MetricRegistry& global();
 
  private:
   using Key = std::pair<std::string, Labels>;

@@ -1,6 +1,7 @@
 #include "serving/inference_server.h"
 
 #include <algorithm>
+#include <condition_variable>
 
 #include "accel/microcontroller.h"
 #include "host/model_codec.h"
@@ -796,6 +797,9 @@ accel::DeviceStatus InferenceServer::load_model(
   std::lock_guard<std::mutex> lock(shard.mu);
   entry->plan = plan;
   entry->model_hash = model.hash;
+  // A replica sealed before this load holds the old weights: migrate and
+  // reconnect must not move it.
+  entry->model_content.reset();
   entry->last_activity = Clock::now();
   return status;
 }
@@ -1639,9 +1643,13 @@ void InferenceServer::monitor_loop(std::stop_token stop) {
   const auto interval = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(
           config_.monitor_interval_ms > 0 ? config_.monitor_interval_ms : 1.0));
-  while (!stop.stop_requested()) {
-    std::this_thread::sleep_for(interval);
-    if (stop.stop_requested()) break;
+  // The wait wakes on the stop token, so the destructor never waits out an
+  // interval.
+  std::mutex idle_mu;
+  std::condition_variable_any idle;
+  std::unique_lock<std::mutex> idle_lock(idle_mu);
+  while (!idle.wait_for(idle_lock, stop, interval,
+                        [&stop] { return stop.stop_requested(); })) {
     for (std::size_t i = 0; i < devices_.size(); ++i) {
       // Fail-stop detection: a device the injector killed outside any call
       // (faults().kill(i)) is noticed here even if nothing touched it since.

@@ -407,7 +407,9 @@ class InferenceServer {
 
   /// Imports the tenant's sealed weight blob and pins the plan used by
   /// subsequent submissions. The blob must be the plan's weight_blob sealed
-  /// by the tenant's user.
+  /// by the tenant's user. Forgets any replica sealed before the load, so a
+  /// later migration seals the new weights and a reconnect resumes without
+  /// a model.
   ///
   /// Errors: kNoSession (unknown tenant), kBadOperand (invalid handle),
   /// kBadRecord (channel authentication failed — the record was not sealed
@@ -636,7 +638,8 @@ class InferenceServer {
     RequestOutcome teardown_outcome = RequestOutcome::kNoTenant;
     /// Model bookkeeping: what the tenant had loaded, and the sealed replica
     /// (if any) a migration or reconnect() restores. Written under the shard
-    /// lock by load_model, seal_tenant_model and restore_model.
+    /// lock by load_model (which clears the replica), seal_tenant_model and
+    /// restore_model.
     std::optional<crypto::Sha256Digest> model_hash;
     std::optional<store::ContentId> model_content;
     /// Last time this tenant touched the server (connect, load, submit,

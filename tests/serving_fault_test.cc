@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -540,6 +541,43 @@ TEST(Failover, TenantWithoutReplicaResumesSessionButMustReloadModel) {
   EXPECT_EQ(*output, host::reference_run(net, input));
 }
 
+TEST(Failover, ReloadAfterSealReconnectsWithoutStaleModel) {
+  // A replica sealed before a reload holds the old weights, and the two
+  // models share a structure, so restoring it would pass every descriptor
+  // check. The reload forgets it: the reconnect resumes without a model
+  // rather than serving the old weights under the new model's plan.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork model_a = small_cnn(9850);
+  const FuncNetwork model_b = small_cnn(9860);
+  TenantClient client;
+  ASSERT_TRUE(client.connect(server, env.ca.public_key(), 9851));
+  ASSERT_TRUE(client.load(server, model_a));
+  const std::size_t doomed = client.device_index;
+  store::ContentId stale{};
+  ASSERT_EQ(server.seal_tenant_model(
+                client.tenant, host::serialize_descriptor(model_a), stale),
+            DeviceStatus::kOk);
+  ASSERT_EQ(server.replicate_model(stale, 1 - doomed), DeviceStatus::kOk);
+  ASSERT_TRUE(client.load(server, model_b));
+
+  server.faults().kill(doomed);
+  ASSERT_TRUE(eventually([&] { return server.failover_pending(client.tenant); }));
+
+  const auto resumed = client.reconnect(server);
+  ASSERT_EQ(resumed.tenant, client.tenant);
+  EXPECT_FALSE(resumed.model_restored)
+      << "reconnect restored the replica sealed before the reload";
+  // Unsealed probe, as above: a sealed one would desync the channel.
+  crypto::SealedRecord dummy;
+  EXPECT_EQ(server.submit(client.tenant, dummy).outcome,
+            RequestOutcome::kNoModel);
+}
+
 TEST(Failover, DroppedCompletionWoundsSessionDeviceSurvives) {
   // A lost completion is not a lost command: the device executed it and its
   // to_user sender sequence advanced on an output nobody can open. The
@@ -720,6 +758,24 @@ TEST(Failover, ConcurrentReconnectsOneWinsNoSessionLeaks) {
   const auto output = users[w]->open_output(result.sealed_output);
   ASSERT_TRUE(output.has_value());
   EXPECT_EQ(*output, host::reference_run(net, input));
+}
+
+// --- Health monitor ----------------------------------------------------------
+
+TEST(Monitor, DestructorDoesNotWaitOutTheInterval) {
+  // The health monitor waits on its stop token, so tearing a server down
+  // never blocks for the rest of a long monitor interval.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 1;
+  config.num_workers = 1;
+  config.monitor_interval_ms = 20000.0;
+  auto server =
+      std::make_unique<InferenceServer>(env.ca, config, Bytes{0xfb, 0xfc});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // monitor idle
+  const auto start = std::chrono::steady_clock::now();
+  server.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 // --- Teardown of a worker-owned tenant ---------------------------------------

@@ -254,6 +254,47 @@ TEST(Migration, ModelLessTenantMigratesAsSessionOnlyMove) {
   EXPECT_EQ(server.stats().migrations, 1u);
 }
 
+TEST(Migration, ReloadAfterSealMovesTheReloadedWeights) {
+  // A replica sealed before a reload holds the old weights. The two models
+  // share a structure, so their descriptors match and nothing downstream
+  // can tell the replicas apart: the migration must seal the reloaded model
+  // on the source instead of moving the stale replica.
+  Env env;
+  ServerConfig config;
+  config.num_devices = 2;
+  config.num_workers = 1;
+  InferenceServer server = env.make(config);
+
+  const FuncNetwork model_a = small_cnn(11250);
+  const FuncNetwork model_b = small_cnn(11260);
+  TenantClient client;
+  ASSERT_TRUE(client.connect(server, env.ca.public_key(), 11251));
+  ASSERT_TRUE(client.load(server, model_a));
+  store::ContentId stale{};
+  ASSERT_EQ(server.seal_tenant_model(
+                client.tenant, host::serialize_descriptor(model_a), stale),
+            DeviceStatus::kOk);
+  ASSERT_TRUE(client.load(server, model_b));
+  const std::size_t target = 1 - client.device_index;
+
+  const auto moved = client.start_migrate(server, target);
+  ASSERT_EQ(moved.tenant, client.tenant)
+      << "migration failed: " << static_cast<int>(moved.response.status);
+  EXPECT_TRUE(moved.model_restored);
+  ASSERT_TRUE(client.finish_migrate(server, moved));
+
+  const functional::Tensor input = random_input(model_b, 11270);
+  ASSERT_NE(host::reference_run(model_a, input),
+            host::reference_run(model_b, input));
+  const InferenceResult result =
+      server.submit(client.tenant, client.user->seal(tensor_bytes(input)));
+  ASSERT_EQ(result.outcome, RequestOutcome::kOk) << outcome_name(result.outcome);
+  const auto output = client.user->open_output(result.sealed_output);
+  ASSERT_TRUE(output.has_value());
+  EXPECT_EQ(*output, host::reference_run(model_b, input))
+      << "the migrated tenant serves the weights sealed before the reload";
+}
+
 TEST(Migration, BadTargetsAndUnknownTenantsAreRejected) {
   Env env;
   ServerConfig config;

@@ -562,6 +562,71 @@ TEST(FusedSealPipeline, RepeatedUnsealKeepsAttestationHashHonest) {
             DeviceStatus::kBadRecord);
 }
 
+TEST(FusedSealPipeline, GoldenRepeatSealUnsealPinned) {
+  // Pins a repeat seal of an untouched region and a repeat unseal of one
+  // blob on one device to recorded values: the content ids, each blob's
+  // wire image, the session's MPU access trace and byte counters, the
+  // modeled latency and the attested weight hash. Every seal hashes the
+  // package it streamed and every unseal re-checks it, so a repeat must
+  // reproduce exactly what the first call produced and left behind.
+  crypto::HmacDrbg ca_drbg(Bytes{0x81});
+  crypto::ManufacturerCa ca(ca_drbg);
+  accel::UntrustedMemory mem;
+  accel::GuardNnDevice device("golden-dev", ca, mem, Bytes{0x82});
+  RemoteUser user(ca.public_key(), Bytes{0x83});
+  ASSERT_TRUE(user.attest_device(device.get_pk()));
+  ASSERT_TRUE(user.complete_session(
+      device.init_session(user.begin_session(), /*integrity=*/true)));
+  const accel::SessionId sid = user.session_id();
+
+  const Bytes weights = random_bytes(3 * kSealChunkBytes + 99, 0x84);
+  ASSERT_EQ(device.set_weight(sid, user.seal(weights), 0), DeviceStatus::kOk);
+  const Bytes descriptor{'g', 'o', 'l', 'd', 'e', 'n'};
+
+  SealedBlob first;
+  ASSERT_EQ(device.seal_model(sid, 0, weights.size(), descriptor, first),
+            DeviceStatus::kOk);
+  SealedBlob repeat;
+  ASSERT_EQ(device.seal_model(sid, 0, weights.size(), descriptor, repeat),
+            DeviceStatus::kOk);
+  EXPECT_EQ(first.header.content_id, repeat.header.content_id);
+  EXPECT_EQ(to_hex(first.header.content_id),
+            "2956d67b80d07035155b6953d810b208f2c742f61de5b6be2a6b0d10bfff7e03");
+  EXPECT_EQ(to_hex(crypto::Sha256::hash(first.serialize())),
+            "795866044448189fe799093cc23eba51c87c850556179012524151b64c349c86");
+  EXPECT_EQ(to_hex(crypto::Sha256::hash(repeat.serialize())),
+            "7386da8fcc0c013ecfb4a17831a5f9ac136c8d59c0c16f100e0f456a133080f4");
+
+  for (int round = 0; round < 2; ++round) {
+    Bytes descriptor_out;
+    ASSERT_EQ(device.unseal_model(sid, first, 0, descriptor_out),
+              DeviceStatus::kOk);
+    EXPECT_EQ(descriptor_out, descriptor) << "round " << round;
+  }
+  accel::SignOutputResponse report;
+  ASSERT_EQ(device.sign_output(sid, report), DeviceStatus::kOk);
+  EXPECT_EQ(report.weight_hash, crypto::Sha256::hash(weights));
+  EXPECT_EQ(to_hex(report.weight_hash),
+            "20413d315d565f3e92d12662f72488bdaa3d7d9d4d34268ea42d87af2a2c9622");
+
+  const auto& trace = device.access_trace(sid);
+  crypto::Sha256 trace_hash;
+  for (const auto& [address, is_write] : trace) {
+    u8 entry[9];
+    store_be64(entry, address);
+    entry[8] = is_write ? 1 : 0;
+    trace_hash.update(BytesView(entry, sizeof(entry)));
+  }
+  EXPECT_EQ(trace.size(), 1930u);
+  EXPECT_EQ(to_hex(trace_hash.finalize()),
+            "982374e4aa26b834d4f56e34fbca457a38844f8252e87994aca4f09271bdfffa");
+
+  const accel::MpuByteCounters& counters = device.mpu_byte_counters();
+  EXPECT_EQ(counters.bytes_encrypted.load(), 985600u);
+  EXPECT_EQ(counters.bytes_macd.load(), 985600u);
+  EXPECT_DOUBLE_EQ(device.elapsed_ms(), 28.267507500000004);
+}
+
 TEST(ModelPackageCodec, RoundTrip) {
   ModelPackage package;
   package.descriptor = random_bytes(77, 18);
