@@ -173,35 +173,11 @@ def marker_json(bench_name):
             continue
     return None
 
-# Sealed model store: SealModel/UnsealModel GB/s (the fused pipeline with
-# every hash pass, as the serving and checkpoint loops run it) and
-# cross-device replication latency (p50/p99 of the attested 3-step re-wrap).
+# Sealed model store: SealModel/UnsealModel GB/s (the fused pipeline as the
+# serving and checkpoint loops run it) and cross-device replication latency
+# (p50/p99 of the attested 3-step re-wrap).
 def model_store():
     return marker_json("bench_model_store")
-
-# Seal/unseal throughput deltas vs the previously recorded baseline (the
-# output file itself, read before overwrite), so a PR's effect on the fused
-# seal data path shows up numerically instead of via stdout diffing.
-def model_store_delta(current):
-    if not current:
-        return None
-    try:
-        previous = json.loads(pathlib.Path(out_json).read_text()).get("model_store")
-    except Exception:
-        previous = None
-    if not previous:
-        return None
-
-    def speedup(key):
-        new, old = current.get(key), previous.get(key)
-        return round(new / old, 3) if new and old else None
-
-    return {
-        "prev_seal_gbps": previous.get("seal_gbps"),
-        "prev_unseal_gbps": previous.get("unseal_gbps"),
-        "seal_speedup_x": speedup("seal_gbps"),
-        "unseal_speedup_x": speedup("unseal_gbps"),
-    }
 
 doc = {
     "schema": "guardnn-bench-baseline/1",
@@ -215,7 +191,6 @@ doc = {
     "model_store": model_store(),
     "benches": benches,
 }
-doc["model_store_delta"] = model_store_delta(doc["model_store"])
 pathlib.Path(out_json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 print(f"wrote {out_json} ({len(benches)} benches, {len(doc['failed'])} failed)")
 PY

@@ -85,6 +85,15 @@ crypto::Sha256Digest SignOutputResponse::report_digest() const {
   return hasher.finalize();
 }
 
+void GuardNnDevice::Session::forget_hashed_region_on_write(u64 addr,
+                                                           u64 bytes) {
+  if (!hashed_region) return;
+  const u64 write_end = addr + pad_region(bytes);
+  const u64 region_end = hashed_region->addr + pad_region(hashed_region->bytes);
+  if (addr < region_end && hashed_region->addr < write_end)
+    hashed_region.reset();
+}
+
 void GuardNnDevice::Session::zeroize() {
   secure_zero(keys.enc_key.data(), keys.enc_key.size());
   secure_zero(keys.mac_key.data(), keys.mac_key.size());
@@ -95,6 +104,7 @@ void GuardNnDevice::Session::zeroize() {
   secure_zero(input_hash.data(), input_hash.size());
   secure_zero(weight_hash.data(), weight_hash.size());
   secure_zero(output_hash.data(), output_hash.size());
+  hashed_region.reset();
   chain.reset();
   dead = true;
 }
@@ -184,7 +194,7 @@ InitSessionResponse GuardNnDevice::init_session(
       MemoryProtectionUnit(memory_, mem_enc_key, mem_mac_key, integrity),
       memprot::VnGenerator{},
       slot_index * kSessionDramBytes,
-      {}, {}, {}, AttestationChain{}, false});
+      {}, {}, {}, AttestationChain{}, false, std::nullopt});
   slot.session->mpu.set_byte_counters(&mpu_counters_);
   slot.session->chain.reset();
 
@@ -257,10 +267,12 @@ DeviceStatus GuardNnDevice::import_region(Session& s,
     s.vn.on_set_weight();
     vn = s.vn.weight_vn();
     data_hash = &s.weight_hash;
+    s.hashed_region = HashedRegion{addr, plaintext->size(), vn};
   } else {
     s.vn.on_set_input();
     vn = s.vn.feature_write_vn();
     data_hash = &s.input_hash;
+    s.forget_hashed_region_on_write(addr, plaintext->size());
   }
 
   // Hash the imported data for remote attestation.
@@ -549,6 +561,7 @@ DeviceStatus GuardNnDevice::forward_locked(Session& s, const ForwardOp& op) {
   u64 out_phys = 0;
   if (!translate(s, op.output_addr, pad_region(result.size()), out_phys))
     return DeviceStatus::kBadOperand;
+  s.forget_hashed_region_on_write(op.output_addr, result.size());
   MpuImportStream writer(s.mpu, out_phys, result.size(), s.vn.feature_write_vn());
   writer.next(result.bytes());
   writer.finish();
@@ -648,8 +661,15 @@ DeviceStatus GuardNnDevice::seal_model(SessionId sid, u64 weight_addr,
     return DeviceStatus::kIntegrityFailure;
   }
 
-  // Content id: one SHA-256 over (descriptor || weights) as just streamed.
-  out = writer.finish(store::package_content_id(descriptor, weights));
+  // Content id over (descriptor || SHA-256(weights)). When the last
+  // SetWeight/UnsealModel imported exactly this region at this CTR_W, its
+  // attested weight hash is that inner digest and no pass over the weights
+  // is needed (the export above still verified every chunk MAC); otherwise
+  // hash the weights as just streamed.
+  out = writer.finish(store::package_content_id(
+      descriptor, s->weight_hash_covers(weight_addr, weight_bytes)
+                      ? s->weight_hash
+                      : crypto::Sha256::hash(weights)));
   latency_.add_import(weight_bytes);  // bounded by the same AES path
 
   u8 operand[16 + sizeof(out.header.content_id)];
@@ -695,8 +715,11 @@ DeviceStatus GuardNnDevice::unseal_model(SessionId sid,
   }
 
   // Defense in depth: the authenticated content id must match the model
-  // bytes actually inside the package.
-  if (view->content_id() != blob.header.content_id) {
+  // bytes actually inside the package. Its inner SHA-256 of the weights is
+  // also the attestation weight hash, so one pass serves both.
+  const crypto::Sha256Digest weight_hash = crypto::Sha256::hash(view->weights);
+  if (store::package_content_id(view->descriptor, weight_hash) !=
+      blob.header.content_id) {
     wipe();
     return DeviceStatus::kBadRecord;
   }
@@ -712,7 +735,9 @@ DeviceStatus GuardNnDevice::unseal_model(SessionId sid,
   // stream owns the chunk zero-padding), record the weight hash so
   // SignOutput attests the provenance of the loaded model.
   s->vn.on_set_weight();
-  s->weight_hash = crypto::Sha256::hash(view->weights);
+  s->weight_hash = weight_hash;
+  s->hashed_region =
+      HashedRegion{weight_addr, view->weights.size(), s->vn.weight_vn()};
   MpuImportStream importer(s->mpu, phys, view->weights.size(),
                            s->vn.weight_vn());
   importer.next(view->weights);

@@ -192,8 +192,13 @@ class GuardNnDevice {
   /// verified crypto::kCmacLanes CBC chains at a time) and decrypts
   /// directly into the SealedBlobWriter's buffer, which is then encrypted
   /// in place — the plaintext exists exactly once, inside the trusted
-  /// boundary. Every seal computes the SHA-256 content id over the package
-  /// it just streamed. `out`'s previous ciphertext buffer is recycled.
+  /// boundary. The content id is SHA-256 over (descriptor ||
+  /// SHA-256(weights)); when this is exactly the region the last SetWeight
+  /// or UnsealModel imported at the current CTR_W, with no overlapping
+  /// feature write since, the inner digest is the session's attested weight
+  /// hash and the seal makes no SHA-256 pass over the weights. Otherwise it
+  /// hashes the weights it streamed. `out`'s previous ciphertext buffer is
+  /// recycled.
   ///
   /// Preconditions: `weight_addr` 512 B aligned and session-local;
   /// `0 < weight_bytes <= kSessionDramBytes`; the padded region must lie
@@ -214,8 +219,11 @@ class GuardNnDevice {
   /// Fused data path: a SealedBlobReader verifies the chain MAC and every
   /// chunk MAC up front (lane-batched), the payload is parsed zero-copy,
   /// and an MpuImportStream writes the weights through the MPU without a
-  /// separate padded buffer. Every unseal re-checks the content id against
-  /// the package and hashes the weights for attestation.
+  /// separate padded buffer. One SHA-256 pass over the weights serves both
+  /// the content-id re-check and the attestation weight hash, and the
+  /// session records the loaded region as the one that hash covers. A
+  /// package of any version but store::kModelPackageVersion answers
+  /// kBadRecord.
   ///
   /// Preconditions: `weight_addr` 512 B aligned, session-local, with room
   /// for the blob's weights in the session partition.
@@ -290,6 +298,13 @@ class GuardNnDevice {
   const MpuByteCounters& mpu_byte_counters() const { return mpu_counters_; }
 
  private:
+  /// A session-local weight range and the CTR_W it was imported under.
+  struct HashedRegion {
+    u64 addr = 0;
+    u64 bytes = 0;
+    u64 weight_vn = 0;
+  };
+
   struct Session {
     crypto::SessionKeys keys;
     crypto::ChannelReceiver from_user;
@@ -302,6 +317,27 @@ class GuardNnDevice {
     crypto::Sha256Digest output_hash{};
     AttestationChain chain;
     bool dead = false;  ///< Set on integrity failure.
+    /// The weight region `weight_hash` covers: set by the SetWeight or
+    /// UnsealModel that computed it, and cleared by a feature write that
+    /// overlaps it (see forget_hashed_region_on_write). A later CTR_W bump
+    /// (SetWeight, SGD update) makes it miss through the VN compare.
+    std::optional<HashedRegion> hashed_region;
+
+    /// True when `weight_hash` is SHA-256 of exactly the `bytes` weight bytes
+    /// at `addr` under the current CTR_W, so SealModel may name the region
+    /// without another pass over the weights.
+    bool weight_hash_covers(u64 addr, u64 bytes) const {
+      return hashed_region && hashed_region->addr == addr &&
+             hashed_region->bytes == bytes &&
+             hashed_region->weight_vn == vn.weight_vn();
+    }
+
+    /// Clears hashed_region when a feature write of `bytes` at `addr`
+    /// (session-local, both ranges chunk-padded) overlaps it. Needed with
+    /// integrity on too: before the first SetInput, feature_write_vn()
+    /// equals CTR_W, so a Forward output written onto the weight region
+    /// MAC-verifies under the weight VN.
+    void forget_hashed_region_on_write(u64 addr, u64 bytes);
 
     /// CloseSession: wipe every secret the session holds, in place.
     void zeroize();

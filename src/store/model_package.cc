@@ -32,18 +32,19 @@ Bytes ModelPackage::serialize() const {
   return out;
 }
 
-ContentId package_content_id(BytesView descriptor, BytesView weights) {
+ContentId package_content_id(BytesView descriptor,
+                             const crypto::Sha256Digest& weight_hash) {
   crypto::Sha256 hasher;
   u8 len[8];
   store_be64(len, descriptor.size());
   hasher.update(BytesView(len, 8));
   hasher.update(descriptor);
-  hasher.update(weights);
+  hasher.update(BytesView(weight_hash.data(), weight_hash.size()));
   return hasher.finalize();
 }
 
 ContentId ModelPackage::content_id() const {
-  return package_content_id(descriptor, weights);
+  return package_content_id(descriptor, crypto::Sha256::hash(weights));
 }
 
 std::optional<ModelPackage> ModelPackage::parse(BytesView bytes) {

@@ -17,7 +17,9 @@
 namespace guardnn::store {
 
 inline constexpr u32 kModelPackageMagic = 0x474E'4D50;  // "GNMP"
-inline constexpr u16 kModelPackageVersion = 1;
+/// Version 2 names a model by the SHA-256 of its weights (see
+/// package_content_id); parse() rejects every other version.
+inline constexpr u16 kModelPackageVersion = 2;
 
 struct ModelPackage {
   Bytes descriptor;  ///< Public architecture + quantization metadata.
@@ -28,8 +30,8 @@ struct ModelPackage {
   Bytes serialize() const;
   static std::optional<ModelPackage> parse(BytesView bytes);
 
-  /// The package's *model* identity: SHA-256 over (descriptor length ||
-  /// descriptor || weights). Deliberately excludes weight_vn, so the same
+  /// The package's *model* identity: package_content_id over the descriptor
+  /// and SHA-256(weights). Deliberately excludes weight_vn, so the same
   /// model sealed at different counter epochs — or by different devices —
   /// deduplicates to one content id. The device re-checks this hash against
   /// the blob header after every unseal.
@@ -42,9 +44,15 @@ struct ModelPackage {
   }
 };
 
-/// The model identity hash shared by ModelPackage and ModelPackageView:
-/// SHA-256 over (be64 descriptor length || descriptor || weights).
-ContentId package_content_id(BytesView descriptor, BytesView weights);
+/// The model identity hash shared by ModelPackage, ModelPackageView and the
+/// device: SHA-256 over (be64 descriptor length || descriptor ||
+/// weight_hash), where weight_hash = SHA-256(weights) is exactly the weight
+/// hash SignOutput attests. So the device can name a region it already
+/// hashed on import without another pass over the weights, and anyone can
+/// check a stored replica's id from an attestation report and the public
+/// descriptor.
+ContentId package_content_id(BytesView descriptor,
+                             const crypto::Sha256Digest& weight_hash);
 
 /// Zero-copy view of a serialized package: fields alias the serialized
 /// buffer, which must outlive the view. Parsing is exactly as strict as
@@ -57,7 +65,7 @@ struct ModelPackageView {
   u64 weight_vn = 0;
 
   ContentId content_id() const {
-    return package_content_id(descriptor, weights);
+    return package_content_id(descriptor, crypto::Sha256::hash(weights));
   }
 
   static std::optional<ModelPackageView> parse(BytesView bytes);

@@ -12,10 +12,12 @@
 //   * a chained CMAC over (serialized header || all chunk MACs) that makes
 //     the header fields — format version, binding id, content id, sizes —
 //     and the chunk-MAC list tamper-evident as one unit;
-//   * a SHA-256 content id over the *plaintext*, checked after decryption
-//     (defense in depth) and used by the ModelStore for deduplication: two
-//     devices sealing the same model produce different ciphertext but the
-//     same content id;
+//   * a content id derived from the *plaintext* (for a ModelPackage,
+//     store::package_content_id: SHA-256 over the descriptor and the
+//     attested SHA-256 of the weights), checked after decryption (defense
+//     in depth) and used by the ModelStore for deduplication: two devices
+//     sealing the same model produce different ciphertext but the same
+//     content id;
 //   * a format version field; unsealing rejects anything but the current
 //     version before touching key material (downgrade fails closed).
 //
@@ -46,7 +48,7 @@ inline constexpr u32 kSealedBlobMagic = 0x474E'5342;  // "GNSB"
 inline constexpr u16 kSealedBlobVersion = 2;
 inline constexpr u64 kSealChunkBytes = 64 * 1024;
 
-/// Content identity: SHA-256 over the plaintext payload.
+/// Content identity: a SHA-256 digest naming the plaintext payload.
 using ContentId = crypto::Sha256Digest;
 /// Sealing-domain identity: SHA-256 over the device's certified public key.
 using BindingId = crypto::Sha256Digest;
@@ -118,11 +120,11 @@ BlobKeys derive_blob_keys(const crypto::AesKey& root_key,
 /// Seals `payload` (non-empty) for the domain owning `root_key`. `nonce`
 /// must be fresh random bytes (the device draws them from its TRNG).
 /// `content_id` is the caller's identity for the payload — the device uses
-/// the model-content hash (descriptor + weights, excluding incidental
-/// metadata) so replicas of one model deduplicate across devices and
-/// re-seals; raw-format callers typically pass SHA-256 of the payload. The
-/// id is authenticated (chain MAC + key derivation) and re-checked against
-/// the payload semantics by the device after unsealing.
+/// store::package_content_id (descriptor + SHA-256 of the weights, excluding
+/// incidental metadata) so replicas of one model deduplicate across devices
+/// and re-seals; raw-format callers typically pass SHA-256 of the payload.
+/// The id is authenticated (chain MAC + key derivation) and re-checked
+/// against the payload semantics by the device after unsealing.
 SealedBlob seal_blob(const crypto::AesKey& root_key, const BindingId& binding,
                      const crypto::AesBlock& nonce, BytesView payload,
                      const ContentId& content_id);

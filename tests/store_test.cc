@@ -86,6 +86,20 @@ crypto::AesBlock test_nonce(u64 seed) {
   return nonce;
 }
 
+/// SHA-256(be64 descriptor length || descriptor || tail), computed here
+/// without store::package_content_id: with tail = SHA-256(weights) it is the
+/// content id, with tail = the weights the version-1 rule.
+crypto::Sha256Digest descriptor_prefixed_hash(BytesView descriptor,
+                                              BytesView tail) {
+  crypto::Sha256 hasher;
+  u8 length[8];
+  store_be64(length, descriptor.size());
+  hasher.update(BytesView(length, 8));
+  hasher.update(descriptor);
+  hasher.update(tail);
+  return hasher.finalize();
+}
+
 /// True when a 24-byte window of `secret` appears anywhere in `haystack`.
 bool contains_window(BytesView haystack, BytesView secret) {
   if (secret.size() < 24) return false;
@@ -472,10 +486,12 @@ TEST(FusedSealPipeline, ReaderHostileBitFlipSweep) {
 }
 
 TEST(FusedSealPipeline, DeviceSealCacheTracksRegionMutations) {
-  // Content-id caching must never serve a stale id. Run without integrity
-  // (GuardNN_C) so overwriting the weight region with feature-keyed data
-  // changes what a weight-VN read returns instead of failing it — exactly
-  // the case where only correct invalidation keeps the id honest.
+  // A seal of the region the last SetWeight hashed takes its content id
+  // from the attested weight hash; a feature write overlapping that region
+  // must end the reuse. Run without integrity (GuardNN_C) so overwriting the
+  // weight region with feature-keyed data changes what a weight-VN read
+  // returns instead of failing it — exactly the case where only the overlap
+  // rule keeps the id honest.
   crypto::HmacDrbg ca_drbg(Bytes{0x61});
   crypto::ManufacturerCa ca(ca_drbg);
   accel::UntrustedMemory mem;
@@ -499,20 +515,20 @@ TEST(FusedSealPipeline, DeviceSealCacheTracksRegionMutations) {
   EXPECT_EQ(first.header.content_id, repeat.header.content_id)
       << "repeat seal of an untouched region must reuse the same identity";
 
-  // A different descriptor must miss the cache.
+  // A different descriptor names a different model.
   SealedBlob other_desc;
   ASSERT_EQ(device.seal_model(sid, 0, weights.size(), Bytes{'x'}, other_desc),
             DeviceStatus::kOk);
   EXPECT_NE(other_desc.header.content_id, first.header.content_id);
 
-  // A feature write landing inside the region invalidates the cached id.
+  // A feature write landing inside the region ends the weight-hash reuse.
   ASSERT_EQ(device.set_input(sid, user.seal(random_bytes(512, 0x65)), 0),
             DeviceStatus::kOk);
   SealedBlob after_overlap;
   ASSERT_EQ(device.seal_model(sid, 0, weights.size(), descriptor, after_overlap),
             DeviceStatus::kOk);
   EXPECT_NE(after_overlap.header.content_id, first.header.content_id)
-      << "stale cached content id served after an overlapping write";
+      << "stale content id served after an overlapping write";
 
   // Re-importing the weights gives the original identity back (fresh CTR_W,
   // fresh hash over the same bytes).
@@ -524,9 +540,10 @@ TEST(FusedSealPipeline, DeviceSealCacheTracksRegionMutations) {
 }
 
 TEST(FusedSealPipeline, RepeatedUnsealKeepsAttestationHashHonest) {
-  // The verified-blob memo skips the SHA passes on repeat loads; the
-  // attested weight hash must still be exactly SHA-256 of the weights on
-  // every load, and tampering between loads must still fail.
+  // Every unseal hashes the weights once, for both the content-id re-check
+  // and the attestation weight hash, and records the loaded region as the
+  // one that hash covers; the attested weight hash must be exactly SHA-256
+  // of the weights on every load, and tampering between loads must fail.
   crypto::HmacDrbg ca_drbg(Bytes{0x71});
   crypto::ManufacturerCa ca(ca_drbg);
   accel::UntrustedMemory mem;
@@ -553,8 +570,8 @@ TEST(FusedSealPipeline, RepeatedUnsealKeepsAttestationHashHonest) {
     EXPECT_EQ(report.weight_hash, expected) << "round " << round;
   }
 
-  // A tampered copy of the memoized blob must still be rejected: the memo
-  // never bypasses MAC verification.
+  // A tampered copy of the blob must still be rejected: a repeat load never
+  // bypasses MAC verification.
   SealedBlob tampered = blob;
   tampered.ciphertext[kSealChunkBytes + 7] ^= 0x04;
   Bytes descriptor_out;
@@ -562,13 +579,67 @@ TEST(FusedSealPipeline, RepeatedUnsealKeepsAttestationHashHonest) {
             DeviceStatus::kBadRecord);
 }
 
+TEST(FusedSealPipeline, ForwardOutputOntoWeightRegionEndsWeightHashReuse) {
+  // With integrity on, a VN collision can make a feature write pass as
+  // weights: before the first SetInput, feature_write_vn() = CTR_IN << 32 |
+  // CTR_F,W reaches 1 == CTR_W after one Forward. The second ReLU below
+  // writes relu(W) onto the weight region under that VN, so the seal's
+  // weight-VN export verifies and packages relu(W); its content id must
+  // name relu(W), not the W that SetWeight hashed, or the blob never
+  // unseals.
+  crypto::HmacDrbg ca_drbg(Bytes{0xc1});
+  crypto::ManufacturerCa ca(ca_drbg);
+  accel::UntrustedMemory mem;
+  accel::GuardNnDevice device("relu-dev", ca, mem, Bytes{0xc2});
+  RemoteUser user(ca.public_key(), Bytes{0xc3});
+  ASSERT_TRUE(user.attest_device(device.get_pk()));
+  ASSERT_TRUE(user.complete_session(
+      device.init_session(user.begin_session(), /*integrity=*/true)));
+  const accel::SessionId sid = user.session_id();
+
+  const Bytes weights = random_bytes(1024, 0xc4);
+  ASSERT_EQ(device.set_weight(sid, user.seal(weights), 0), DeviceStatus::kOk);
+  ForwardOp relu;
+  relu.kind = ForwardOp::Kind::kRelu;
+  relu.in_c = 1;
+  relu.in_h = 1;
+  relu.in_w = static_cast<int>(weights.size());
+  // ReLU 0 -> 0 reading W under CTR_W, written under feature VN 0 ...
+  ASSERT_EQ(device.set_read_ctr(sid, 0, weights.size(), 1), DeviceStatus::kOk);
+  ASSERT_EQ(device.forward(sid, relu), DeviceStatus::kOk);
+  // ... then ReLU 0 -> 0 again, written under feature VN 1 == CTR_W.
+  ASSERT_EQ(device.set_read_ctr(sid, 0, weights.size(), 0), DeviceStatus::kOk);
+  ASSERT_EQ(device.forward(sid, relu), DeviceStatus::kOk);
+  ASSERT_EQ(device.vn_generator(sid).ctr_w(), 1u);
+  ASSERT_EQ(device.vn_generator(sid).feature_write_vn(), 2u);
+
+  Bytes relu_weights = weights;
+  for (u8& b : relu_weights)
+    if (static_cast<i8>(b) < 0) b = 0;
+  const Bytes descriptor{'r', 'e', 'l', 'u'};
+  SealedBlob blob;
+  ASSERT_EQ(device.seal_model(sid, 0, weights.size(), descriptor, blob),
+            DeviceStatus::kOk);
+  EXPECT_EQ(blob.header.content_id,
+            package_content_id(descriptor, crypto::Sha256::hash(relu_weights)));
+  EXPECT_NE(blob.header.content_id,
+            package_content_id(descriptor, crypto::Sha256::hash(weights)));
+  Bytes descriptor_out;
+  EXPECT_EQ(device.unseal_model(sid, blob, 0, descriptor_out),
+            DeviceStatus::kOk);
+  accel::SignOutputResponse report;
+  ASSERT_EQ(device.sign_output(sid, report), DeviceStatus::kOk);
+  EXPECT_EQ(report.weight_hash, crypto::Sha256::hash(relu_weights));
+}
+
 TEST(FusedSealPipeline, GoldenRepeatSealUnsealPinned) {
   // Pins a repeat seal of an untouched region and a repeat unseal of one
   // blob on one device to recorded values: the content ids, each blob's
   // wire image, the session's MPU access trace and byte counters, the
-  // modeled latency and the attested weight hash. Every seal hashes the
-  // package it streamed and every unseal re-checks it, so a repeat must
-  // reproduce exactly what the first call produced and left behind.
+  // modeled latency and the attested weight hash. Both seals name the region
+  // from the weight hash SetWeight attested and every unseal re-checks the
+  // id, so a repeat must reproduce exactly what the first call produced and
+  // left behind.
   crypto::HmacDrbg ca_drbg(Bytes{0x81});
   crypto::ManufacturerCa ca(ca_drbg);
   accel::UntrustedMemory mem;
@@ -591,11 +662,11 @@ TEST(FusedSealPipeline, GoldenRepeatSealUnsealPinned) {
             DeviceStatus::kOk);
   EXPECT_EQ(first.header.content_id, repeat.header.content_id);
   EXPECT_EQ(to_hex(first.header.content_id),
-            "2956d67b80d07035155b6953d810b208f2c742f61de5b6be2a6b0d10bfff7e03");
+            "3df165b330a485e1f25e7cac9c88cb0cf0a040da5f0fae576990fdefbe5314d2");
   EXPECT_EQ(to_hex(crypto::Sha256::hash(first.serialize())),
-            "795866044448189fe799093cc23eba51c87c850556179012524151b64c349c86");
+            "c69a71b4e22263e89e534ed5bcbfd0b830ed3bed5487da143a6203cf5deb3f37");
   EXPECT_EQ(to_hex(crypto::Sha256::hash(repeat.serialize())),
-            "7386da8fcc0c013ecfb4a17831a5f9ac136c8d59c0c16f100e0f456a133080f4");
+            "cbe86fb9519e2fa9082c09ffff7fd38b6f9b775b77bc567554adffda073486f9");
 
   for (int round = 0; round < 2; ++round) {
     Bytes descriptor_out;
@@ -608,6 +679,10 @@ TEST(FusedSealPipeline, GoldenRepeatSealUnsealPinned) {
   EXPECT_EQ(report.weight_hash, crypto::Sha256::hash(weights));
   EXPECT_EQ(to_hex(report.weight_hash),
             "20413d315d565f3e92d12662f72488bdaa3d7d9d4d34268ea42d87af2a2c9622");
+  // The content id follows from the attested weight hash and the public
+  // descriptor alone: SHA-256(be64(6) || "golden" || weight_hash).
+  EXPECT_EQ(descriptor_prefixed_hash(descriptor, report.weight_hash),
+            first.header.content_id);
 
   const auto& trace = device.access_trace(sid);
   crypto::Sha256 trace_hash;
@@ -643,6 +718,27 @@ TEST(ModelPackageCodec, RoundTrip) {
   for (const std::size_t cut : {std::size_t{0}, std::size_t{10}, wire.size() - 1})
     EXPECT_FALSE(ModelPackage::parse(BytesView(wire.data(), cut)).has_value());
   EXPECT_FALSE(ModelPackage::parse(random_bytes(64, 20)).has_value());
+}
+
+TEST(ModelPackageCodec, OtherVersionsRejected) {
+  // Version 2 changed what the content id hashes; a package carrying any
+  // other version number must not parse, so an old blob cannot be opened
+  // and re-checked under the wrong rule.
+  ModelPackage package;
+  package.descriptor = random_bytes(9, 0xd1);
+  package.weights = random_bytes(600, 0xd2);
+  Bytes wire = package.serialize();
+  ASSERT_EQ(load_be32(wire.data()), kModelPackageMagic);
+  ASSERT_EQ(wire[4], 0);
+  ASSERT_EQ(wire[5], kModelPackageVersion);
+  ASSERT_TRUE(ModelPackageView::parse(wire).has_value());
+  ASSERT_TRUE(ModelPackage::parse(wire).has_value());
+  for (const u16 version : {u16{1}, u16{3}}) {
+    wire[4] = static_cast<u8>(version >> 8);
+    wire[5] = static_cast<u8>(version);
+    EXPECT_FALSE(ModelPackageView::parse(wire).has_value()) << version;
+    EXPECT_FALSE(ModelPackage::parse(wire).has_value()) << version;
+  }
 }
 
 // --- Model descriptor codec --------------------------------------------------
@@ -964,6 +1060,80 @@ TEST(DeviceSealUnseal, TamperedBlobRejectedWithoutStateChange) {
   EXPECT_EQ(rig.device.unseal_model(0xdead, blob, plan.weight_base,
                                     descriptor_out),
             DeviceStatus::kNoSession);
+}
+
+/// Wire image of a blob sealed by the version-1 package format: device
+/// "v1-dev" (CA entropy {0x91}, device entropy {0x92}), user entropy {0x93},
+/// integrity on, SetWeight of random_bytes(512, 0x94) at 0, then
+/// seal_model(sid, 0, 512, "v1", blob) and blob.serialize(). Its package
+/// carries version 1, whose content id hashed the weights themselves.
+constexpr char kVersionOneBlobHex[] =
+    "474e534200020000b65375b53d13c82da809fda9176afdd63f0e722fbb63d54d0b3d"
+    "9d0e71c19c103531afc3399b9d6777865fcf8935f5eb413d598a895a95be239ddf24"
+    "7d2a8ca41711b01a728097170008862eb7560bfc0000000000000222000000000001"
+    "000000000000000000019007993bdf80aada647f9a83b331b660d99a3de7f6379048"
+    "50930da65ced559dca3d3bec1cfe6c0ad500b03f1baa38035ab20a11eb62055676d5"
+    "82b1caa3080b317b607f0040748bfd769c5680665cb23a668074be32d906751da3a7"
+    "c64a5c250a8e23d21a56552d287b894d0ff89add6ada3a3b4b16e7b3ab3d17ae01e7"
+    "3037d7083520d9778a3abb41bc2b282a8296de300e0da2876413a97d9ed4833f692d"
+    "3d1b9ff3d7f79af6b1ffc0ef11be27c1a69ddd930251409f1ae5b32aa810dd0dfc77"
+    "fb82fb0a2ce8721b5e8af211cd60b85d3fcf70f884a65fe0c3570c1faa2aefea356d"
+    "a87be2f0812555ce9342c69a94b3bcefbdad8fa4090f89201eed64b76f799e6dfe2a"
+    "367eb0a8dc1e2c842587a0a7dfeac2199b51b0b1d0bc0f613095cf15200e81e99bcc"
+    "33ee829cbd1fc9cdfc4ffbaad62599e3bd0d1411d57bac617e6822a97bf405aa80af"
+    "a7bb3cb05333ea495b9434aa223158b4882caff5303a0fbab1e7b831bffbb662fa07"
+    "4cd18e2e98a1d59f0d3cfeb5f7614a42a39ee6b33d93f4f09b1a7b5e0f42affeb19b"
+    "657ca5d0a050c4ea85d5ada9d9652baa1772aa1e8a6e94101524f444868c2c76e227"
+    "ee39a1f7456c15ed238502b29b0f65f5a58c13c033bbdb928e5529a13246653eec06"
+    "ca4427f54c37a698d52066d78e229f87b183e5a6dc4c68aac5f81eda4befab894a9b"
+    "57a543260bc92ff9a1f6f3072c2a59376133be75038cc14dd208902efce316b63c47"
+    "dc172103bffac55986dd498ccceca55744d4d2b8a574a1a92d2cc0601d358058e678"
+    "b279b659af8103c3e2f5";
+
+TEST(DeviceSealUnseal, VersionOnePackageRejectedWithoutStateChange) {
+  crypto::HmacDrbg ca_drbg(Bytes{0x91});
+  crypto::ManufacturerCa ca(ca_drbg);
+  accel::UntrustedMemory mem;
+  accel::GuardNnDevice device("v1-dev", ca, mem, Bytes{0x92});
+  RemoteUser user(ca.public_key(), Bytes{0x93});
+  ASSERT_TRUE(user.attest_device(device.get_pk()));
+  ASSERT_TRUE(user.complete_session(
+      device.init_session(user.begin_session(), /*integrity=*/true)));
+  const accel::SessionId sid = user.session_id();
+
+  // The fixture is authentic for this device and names its model by the
+  // version-1 rule: SHA-256(be64(2) || "v1" || weights).
+  const std::optional<SealedBlob> old =
+      SealedBlob::deserialize(from_hex(kVersionOneBlobHex));
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->header.binding_id, device.store_binding());
+  EXPECT_EQ(descriptor_prefixed_hash(Bytes{'v', '1'}, random_bytes(512, 0x94)),
+            old->header.content_id);
+
+  const Bytes live = random_bytes(1024, 0x95);
+  ASSERT_EQ(device.set_weight(sid, user.seal(live), 0), DeviceStatus::kOk);
+  Bytes descriptor_out;
+  u64 checkpoint_vn = 77;
+  EXPECT_EQ(device.unseal_model(sid, *old, 0, descriptor_out, &checkpoint_vn),
+            DeviceStatus::kBadRecord);
+  EXPECT_TRUE(descriptor_out.empty());
+  EXPECT_EQ(checkpoint_vn, 77u);
+  EXPECT_EQ(device.vn_generator(sid).ctr_w(), 1u);
+  accel::SignOutputResponse report;
+  ASSERT_EQ(device.sign_output(sid, report), DeviceStatus::kOk);
+  EXPECT_EQ(report.weight_hash, crypto::Sha256::hash(live));
+
+  // The session stays usable: the live weights seal and load again.
+  const Bytes descriptor{'v', '2'};
+  SealedBlob fresh;
+  ASSERT_EQ(device.seal_model(sid, 0, live.size(), descriptor, fresh),
+            DeviceStatus::kOk);
+  EXPECT_EQ(fresh.header.content_id,
+            package_content_id(descriptor, crypto::Sha256::hash(live)));
+  ASSERT_EQ(device.unseal_model(sid, fresh, 0, descriptor_out),
+            DeviceStatus::kOk);
+  EXPECT_EQ(descriptor_out, descriptor);
+  EXPECT_EQ(device.vn_generator(sid).ctr_w(), 2u);
 }
 
 // --- Cross-device provisioning ----------------------------------------------
@@ -1352,6 +1522,37 @@ TEST(TrainingCheckpoint, SuspendRestoreResumesBitIdentical) {
   ASSERT_TRUE(after_resume.has_value());
   EXPECT_EQ(*after_resume, rig.reference_step(after_one))
       << "resumed training must continue exactly where the checkpoint left off";
+}
+
+TEST(TrainingCheckpoint, SealAfterSgdUpdateNamesTheUpdatedWeights) {
+  // The SGD update rewrites the weight region under a new CTR_W, so the
+  // weight hash SetWeight attested no longer covers it: the checkpoint's
+  // content id must describe the updated weights.
+  TrainRig rig;
+  FleetRig fleet;
+  RemoteUser user(fleet.ca.public_key(), Bytes{0x53});
+  ASSERT_TRUE(user.attest_device(fleet.a.get_pk()));
+  ASSERT_TRUE(user.complete_session(
+      fleet.a.init_session(user.begin_session(), true)));
+  const accel::SessionId sid = user.session_id();
+  ASSERT_EQ(fleet.a.set_weight(sid, user.seal(rig.initial_blob),
+                               TrainRig::kWBase),
+            DeviceStatus::kOk);
+  ASSERT_TRUE(rig.device_step(fleet.a, user, sid));
+
+  const Bytes descriptor{'s', 't', 'e', 'p', '1'};
+  SealedBlob checkpoint;
+  ASSERT_EQ(fleet.a.seal_model(sid, TrainRig::kWBase, 1024, descriptor,
+                               checkpoint),
+            DeviceStatus::kOk);
+  const Bytes updated = rig.reference_step(rig.initial_blob);
+  ASSERT_NE(updated, rig.initial_blob);
+  EXPECT_EQ(checkpoint.header.content_id,
+            package_content_id(descriptor, crypto::Sha256::hash(updated)));
+  // The attested weight hash still names what SetWeight imported.
+  accel::SignOutputResponse report;
+  ASSERT_EQ(fleet.a.sign_output(sid, report), DeviceStatus::kOk);
+  EXPECT_EQ(report.weight_hash, crypto::Sha256::hash(rig.initial_blob));
 }
 
 // --- Serving integration: store + replication under concurrency --------------
